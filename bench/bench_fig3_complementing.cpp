@@ -7,6 +7,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "bench_common.h"
 
@@ -177,25 +179,112 @@ void BM_KnowledgeBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_KnowledgeBuild)->Unit(benchmark::kMillisecond);
 
-void BM_InferPath(benchmark::State& state) {
+/// The (from, to) region pairs of every annotated gap the complementor
+/// searches, with the knowledge learned from the same 64-device mall fleet:
+/// the traffic InferPath actually serves (most such pairs are direct edges
+/// of the learned knowledge, which uniform random pairs rarely are).
+struct LearnedGaps {
+  complement::MobilityKnowledge knowledge;
+  std::vector<std::pair<dsm::RegionId, dsm::RegionId>> pairs;
+};
+
+const MallContext& InferContext() {
   static MallContext ctx = MallContext::Make(7, 3);
-  static complement::MobilityKnowledge knowledge =
+  return ctx;
+}
+
+const LearnedGaps& FleetGaps() {
+  static LearnedGaps gaps = [] {
+    const MallContext& ctx = InferContext();
+    auto fleet = bench::MakeFleet(ctx, 64, bench::DefaultNoise(7), 64);
+    std::vector<positioning::PositioningSequence> raws;
+    for (const auto& nd : fleet) raws.push_back(nd.raw);
+    core::Translator t(ctx.dsm.get());
+    if (!t.Init().ok()) std::abort();
+    auto results = t.TranslateAll(raws);
+    if (!results.ok()) std::abort();
+    LearnedGaps out;
+    out.knowledge = t.knowledge();
+    const complement::ComplementorOptions opt = t.options().complementor;
+    for (const core::TranslationResult& r : *results) {
+      const auto& sem = r.original_semantics.semantics;
+      for (size_t i = 0; i + 1 < sem.size(); ++i) {
+        if (sem[i + 1].range.begin - sem[i].range.end < opt.min_gap) continue;
+        if (sem[i].region == sem[i + 1].region) continue;  // no search needed
+        out.pairs.emplace_back(sem[i].region, sem[i + 1].region);
+      }
+    }
+    if (out.pairs.empty()) std::abort();
+    return out;
+  }();
+  return gaps;
+}
+
+/// InferPath at max_inferred_steps = range(0), over uniform-prior knowledge
+/// (range(1) = 0, what the stream and cluster paths search) or the fleet's
+/// learned knowledge (1), between uniformly random regions (range(2) = 0) or
+/// on the fleet's real gaps (1).
+void BM_InferPath(benchmark::State& state) {
+  const MallContext& ctx = InferContext();
+  static complement::MobilityKnowledge uniform =
       complement::MobilityKnowledge::Uniform(*ctx.dsm);
+  static std::vector<std::pair<dsm::RegionId, dsm::RegionId>> random_pairs = [&] {
+    Rng rng(7);
+    const auto& regions = ctx.dsm->regions();
+    std::vector<std::pair<dsm::RegionId, dsm::RegionId>> pairs;
+    for (int i = 0; i < 4096; ++i) {
+      pairs.emplace_back(
+          regions[static_cast<size_t>(rng.UniformInt(0, regions.size() - 1))].id,
+          regions[static_cast<size_t>(rng.UniformInt(0, regions.size() - 1))].id);
+    }
+    return pairs;
+  }();
+  const auto& knowledge = state.range(1) != 0 ? FleetGaps().knowledge : uniform;
+  const auto& pairs = state.range(2) != 0 ? FleetGaps().pairs : random_pairs;
   complement::ComplementorOptions opt;
   opt.max_inferred_steps = static_cast<int>(state.range(0));
   complement::Complementor complementor(ctx.dsm.get(), &knowledge, opt);
-  Rng rng(7);
-  const auto& regions = ctx.dsm->regions();
+  size_t next = 0;
   for (auto _ : state) {
-    dsm::RegionId a =
-        regions[static_cast<size_t>(rng.UniformInt(0, regions.size() - 1))].id;
-    dsm::RegionId b =
-        regions[static_cast<size_t>(rng.UniformInt(0, regions.size() - 1))].id;
+    const auto& [a, b] = pairs[next];
+    next = next + 1 == pairs.size() ? 0 : next + 1;
     benchmark::DoNotOptimize(complementor.InferPath(a, b));
   }
   state.SetItemsProcessed(state.iterations());
+  state.counters["pairs"] = static_cast<double>(pairs.size());
+  // Priority-queue pops per search, a deterministic work count: each pair
+  // becomes one gap of a two-triplet sequence.
+  size_t pops = 0;
+  for (const auto& [a, b] : pairs) {
+    core::MobilitySemanticsSequence seq;
+    seq.semantics.resize(2);
+    seq.semantics[0].region = a;
+    seq.semantics[1].region = b;
+    seq.semantics[1].range = {opt.min_gap, opt.min_gap};
+    complement::ComplementReport report;
+    complementor.Complement(seq, &report);
+    pops += report.infer_states_popped;
+  }
+  state.counters["pops_per_call"] =
+      static_cast<double>(pops) / static_cast<double>(pairs.size());
 }
-BENCHMARK(BM_InferPath)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_InferPath)
+    ->ArgsProduct({{2, 4, 8}, {0, 1}, {0, 1}})
+    ->ArgNames({"steps", "learned", "gaps"})
+    ->Unit(benchmark::kMicrosecond);
+
+/// Compiling learned knowledge (what each learning batch request pays once).
+void BM_CompileKnowledge(benchmark::State& state) {
+  const MallContext& ctx = InferContext();
+  const complement::MobilityKnowledge& knowledge = FleetGaps().knowledge;
+  for (auto _ : state) {
+    complement::Complementor complementor(ctx.dsm.get(), &knowledge);
+    benchmark::DoNotOptimize(complementor);
+  }
+  state.counters["edges"] = static_cast<double>(
+      complement::Complementor(ctx.dsm.get(), &knowledge).EdgeCount());
+}
+BENCHMARK(BM_CompileKnowledge)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

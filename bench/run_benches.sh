@@ -26,6 +26,10 @@
 #                         mmap/lazy path, windowed scans on the partitioned
 #                         vs flat layout, plus append/history/visitor
 #                         latencies
+#   BENCH_split.json    — BM_SplitSequence, the columnar ST-DBSCAN split
+#   BENCH_complement.json — BM_InferPath on uniform and fleet-learned
+#                         knowledge, over random pairs and the fleet's real
+#                         gaps, and BM_CompileKnowledge
 #   BENCH_loadgen.json  — load-generator SLO curves: the three named
 #                         scenarios (steady/diurnal/burst) replayed unpaced
 #                         into Service and Cluster targets, plus the steady
@@ -77,9 +81,14 @@ run_suite bench_obs_overhead "$OUT_DIR/BENCH_obs_overhead.json"
 # (meant for humans) doesn't slow the JSON capture down.
 run_suite bench_store_query "$OUT_DIR/BENCH_store.json" \
   'BM_StoreAppend|BM_DeviceHistory|BM_RegionVisitors|BM_ColdOpenFirstWindow|BM_WindowScan'
+# The fig3 binaries print their paper-figure reports first; the JSON keeps
+# only the per-layer microbenchmarks.
+run_suite bench_fig3_annotation "$OUT_DIR/BENCH_split.json" 'BM_SplitSequence'
+run_suite bench_fig3_complementing "$OUT_DIR/BENCH_complement.json" \
+  'BM_InferPath|BM_CompileKnowledge'
 # The paced rows sleep against the wall clock by design; keep the JSON capture
 # to the cheaper paced points (the unpaced scenario grid runs in full).
 run_suite bench_loadgen "$OUT_DIR/BENCH_loadgen.json" \
   'BM_LoadgenScenario|BM_LoadgenPaced/1000|BM_LoadgenPaced/4000'
 
-echo "Wrote $OUT_DIR/BENCH_spatial.json, $OUT_DIR/BENCH_service.json, $OUT_DIR/BENCH_cleaning.json, $OUT_DIR/BENCH_routing.json, $OUT_DIR/BENCH_cluster.json, $OUT_DIR/BENCH_obs_overhead.json, $OUT_DIR/BENCH_store.json and $OUT_DIR/BENCH_loadgen.json"
+echo "Wrote $OUT_DIR/BENCH_spatial.json, $OUT_DIR/BENCH_service.json, $OUT_DIR/BENCH_cleaning.json, $OUT_DIR/BENCH_routing.json, $OUT_DIR/BENCH_cluster.json, $OUT_DIR/BENCH_obs_overhead.json, $OUT_DIR/BENCH_store.json, $OUT_DIR/BENCH_split.json, $OUT_DIR/BENCH_complement.json and $OUT_DIR/BENCH_loadgen.json"

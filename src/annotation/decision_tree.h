@@ -29,6 +29,10 @@ class DecisionTree : public Classifier {
                int num_classes) override;
   int Predict(const Sample& x) const override;
   std::vector<double> PredictProba(const Sample& x) const override;
+  /// The class distribution of the leaf `x` lands in, without a copy.
+  const std::vector<double>& LeafProbabilities(const Sample& x) const {
+    return Descend(x).probabilities;
+  }
   std::string Name() const override { return "decision_tree"; }
   int NumClasses() const override { return num_classes_; }
 

@@ -48,7 +48,7 @@ std::vector<double> RandomForest::PredictProba(const Sample& x) const {
   std::vector<double> probs(num_classes_, 0);
   if (trees_.empty()) return probs;
   for (const DecisionTree& tree : trees_) {
-    std::vector<double> p = tree.PredictProba(x);
+    const std::vector<double>& p = tree.LeafProbabilities(x);
     for (int c = 0; c < num_classes_ && c < static_cast<int>(p.size()); ++c) {
       probs[c] += p[c];
     }

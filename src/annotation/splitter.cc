@@ -1,127 +1,198 @@
 #include "annotation/splitter.h"
 
-#include <algorithm>
-#include <queue>
-
-#include "positioning/record_block.h"
+#include <cmath>
+#include <limits>
 
 namespace trips::annotation {
 
-using positioning::FloorAt;
 using positioning::PositioningSequence;
 using positioning::RecordBlock;
-using positioning::RecordCount;
-using positioning::TimeAt;
-using positioning::XYAt;
 
 namespace {
 
-// Collects indices of the spatio-temporal neighbours of record i. Records are
-// time-sorted, so the temporal window bounds the scan. Templated over the
-// record layout (AoS sequence / SoA block); both instantiations run the same
-// arithmetic.
-template <typename Source>
-std::vector<size_t> Neighbours(const Source& src, size_t i,
-                               const SplitterOptions& opt) {
-  std::vector<size_t> out;
-  const size_t n = RecordCount(src);
-  const TimestampMs ti = TimeAt(src, i);
-  const geo::Point2 pi = XYAt(src, i);
-  const geo::FloorId fi = FloorAt(src, i);
-  // Scan backwards (excluding self).
-  for (size_t j = i; j-- > 0;) {
-    if (ti - TimeAt(src, j) > opt.eps_time) break;
-    if (FloorAt(src, j) == fi && XYAt(src, j).DistanceTo(pi) <= opt.eps_space) {
-      out.push_back(j);
-    }
+constexpr int32_t kUnvisited = -2;
+constexpr int32_t kNoise = -1;
+constexpr int32_t kQueued = -3;  // on the current cluster's frontier
+
+/// The largest squared distance whose sqrt is still within `eps`: because
+/// sqrt is monotone and correctly rounded, `d2 <= lim` decides exactly what
+/// `sqrt(d2) <= eps` does, without the sqrt. A radius that is NaN or not
+/// positive admits no spatial neighbour at all (every d2 fails `d2 <= -1`).
+double SquaredRadiusLimit(double eps) {
+  if (!(eps > 0)) return -1;
+  if (std::isinf(eps)) return eps;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // eps * eps lands within a few ulps of the boundary; walk onto it.
+  double lim = eps * eps;
+  while (lim > 0 && std::sqrt(lim) > eps) lim = std::nextafter(lim, 0.0);
+  for (double up = std::nextafter(lim, kInf); std::sqrt(up) <= eps;
+       up = std::nextafter(lim, kInf)) {
+    lim = up;
   }
-  // Scan forwards.
-  for (size_t j = i + 1; j < n; ++j) {
-    if (TimeAt(src, j) - ti > opt.eps_time) break;
-    if (FloorAt(src, j) == fi && XYAt(src, j).DistanceTo(pi) <= opt.eps_space) {
-      out.push_back(j);
-    }
-  }
-  return out;
+  return lim;
 }
 
-template <typename Source>
-std::vector<Snippet> SplitImpl(const Source& src, const SplitterOptions& options) {
-  std::vector<Snippet> snippets;
-  const size_t n = RecordCount(src);
-  if (n < 2) return snippets;
+/// Reused per-thread working set: cluster labels, the neighbour list of the
+/// point being expanded, and the cluster frontier. Capacity only grows, so
+/// a worker's steady state splits without allocating.
+struct SplitScratch {
+  std::vector<int32_t> label;
+  std::vector<uint32_t> neighbours;
+  std::vector<uint32_t> frontier;
+};
 
-  constexpr int kUnvisited = -2;
-  constexpr int kNoise = -1;
-  std::vector<int> label(n, kUnvisited);
-  int next_cluster = 0;
+thread_local SplitScratch scratch;
 
-  // Sequential DBSCAN.
-  for (size_t i = 0; i < n; ++i) {
-    if (label[i] != kUnvisited) continue;
-    std::vector<size_t> nb = Neighbours(src, i, options);
-    if (nb.size() + 1 < options.min_pts) {
-      label[i] = kNoise;
-      continue;
+/// ST-DBSCAN over the block's columns.
+class DensitySplitter {
+ public:
+  DensitySplitter(const RecordBlock& block, const SplitterOptions& options)
+      : t_(block.timestamps.data()),
+        x_(block.xs.data()),
+        y_(block.ys.data()),
+        floor_(block.floors.data()),
+        n_(block.Size()),
+        eps_time_(options.eps_time),
+        lim_(SquaredRadiusLimit(options.eps_space)),
+        nb_(scratch.neighbours.data()) {}
+
+  /// Spatio-temporal neighbours of record i (self excluded) into nb_,
+  /// backward scan first, then forward — the order the frontier sees them.
+  /// Returns their count.
+  size_t Neighbours(size_t i) const {
+    const TimestampMs ti = t_[i];
+    // The time window first: records are time-sorted, and each scan stops at
+    // the first record outside eps_time, as the per-record scan did.
+    size_t lo = i;
+    while (lo > 0 && ti - t_[lo - 1] <= eps_time_) --lo;
+    size_t hi = i + 1;
+    while (hi < n_ && t_[hi] - ti <= eps_time_) ++hi;
+    // Then a branchless compaction over the window: every index is written,
+    // and the cursor advances only past the ones that qualify.
+    const double xi = x_[i];
+    const double yi = y_[i];
+    const geo::FloorId fi = floor_[i];
+    size_t count = 0;
+    for (size_t j = i; j-- > lo;) {
+      const double dx = x_[j] - xi;
+      const double dy = y_[j] - yi;
+      nb_[count] = static_cast<uint32_t>(j);
+      count += static_cast<size_t>((floor_[j] == fi) & (dx * dx + dy * dy <= lim_));
     }
-    int cluster = next_cluster++;
-    label[i] = cluster;
-    std::queue<size_t> frontier;
-    for (size_t j : nb) frontier.push(j);
-    while (!frontier.empty()) {
-      size_t j = frontier.front();
-      frontier.pop();
-      if (label[j] == kNoise) label[j] = cluster;  // border point
-      if (label[j] != kUnvisited) continue;
-      label[j] = cluster;
-      std::vector<size_t> nb2 = Neighbours(src, j, options);
-      if (nb2.size() + 1 >= options.min_pts) {
-        for (size_t k : nb2) {
-          if (label[k] == kUnvisited || label[k] == kNoise) frontier.push(k);
-        }
+    for (size_t j = i + 1; j < hi; ++j) {
+      const double dx = x_[j] - xi;
+      const double dy = y_[j] - yi;
+      nb_[count] = static_cast<uint32_t>(j);
+      count += static_cast<size_t>((floor_[j] == fi) & (dx * dx + dy * dy <= lim_));
+    }
+    return count;
+  }
+
+  /// Labels every record: a cluster id >= 0, or kNoise.
+  void Cluster(size_t min_pts, int32_t* label) const {
+    std::vector<uint32_t>& frontier = scratch.frontier;
+    int32_t next_cluster = 0;
+    for (size_t i = 0; i < n_; ++i) {
+      if (label[i] != kUnvisited) continue;
+      const size_t count = Neighbours(i);
+      if (count + 1 < min_pts) {
+        label[i] = kNoise;
+        continue;
+      }
+      const int32_t cluster = next_cluster++;
+      label[i] = cluster;
+      // FIFO expansion, marking points as they are pushed: an unvisited
+      // point is queued once and expanded when popped; a noise point becomes
+      // a border point of this cluster on the spot. Labels within a cluster
+      // do not depend on the visiting order, so the snippets are those of a
+      // frontier that re-pushes points and sorts them out when popped.
+      frontier.clear();
+      Enqueue(count, cluster, label, &frontier);
+      for (size_t head = 0; head < frontier.size(); ++head) {
+        const uint32_t j = frontier[head];
+        label[j] = cluster;
+        const size_t c = Neighbours(j);
+        if (c + 1 >= min_pts) Enqueue(c, cluster, label, &frontier);
       }
     }
   }
 
+ private:
+  const TimestampMs* t_;
+  const double* x_;
+  const double* y_;
+  const geo::FloorId* floor_;
+  size_t n_;
+  DurationMs eps_time_;
+  double lim_;
+  uint32_t* nb_;
+
+  // Pushes the first `count` entries of nb_ that are unvisited; claims the
+  // noise ones as border points.
+  void Enqueue(size_t count, int32_t cluster, int32_t* label,
+               std::vector<uint32_t>* frontier) const {
+    for (size_t k = 0; k < count; ++k) {
+      const uint32_t j = nb_[k];
+      if (label[j] == kUnvisited) {
+        label[j] = kQueued;
+        frontier->push_back(j);
+      } else if (label[j] == kNoise) {
+        label[j] = cluster;
+      }
+    }
+  }
+};
+
+}  // namespace
+
+std::vector<Snippet> SplitSequence(const RecordBlock& block,
+                                   const SplitterOptions& options) {
+  std::vector<Snippet> snippets;
+  const size_t n = block.Size();
+  if (n < 2) return snippets;
+
+  std::vector<int32_t>& label = scratch.label;
+  label.assign(n, kUnvisited);
+  if (scratch.neighbours.size() < n) scratch.neighbours.resize(n);
+  DensitySplitter(block, options).Cluster(options.min_pts, label.data());
+
   // Maximal time-contiguous runs of equal label become snippets.
+  size_t runs = 1;
+  for (size_t i = 1; i < n; ++i) runs += label[i] != label[i - 1];
+  snippets.reserve(runs);
   size_t run_begin = 0;
   for (size_t i = 1; i <= n; ++i) {
     if (i == n || label[i] != label[run_begin]) {
-      Snippet s;
-      s.begin = run_begin;
-      s.end = i;
-      s.dense = label[run_begin] >= 0;
-      snippets.push_back(s);
+      snippets.push_back({run_begin, i, label[run_begin] >= 0});
       run_begin = i;
     }
   }
 
-  // Merge too-short runs into the preceding snippet.
+  // Merge too-short runs into the preceding snippet, in place.
   if (options.min_snippet > 0 && snippets.size() > 1) {
-    std::vector<Snippet> merged;
-    for (const Snippet& s : snippets) {
-      DurationMs dur = TimeAt(src, s.end - 1) - TimeAt(src, s.begin);
-      if (!merged.empty() && dur < options.min_snippet) {
-        merged.back().end = s.end;
+    const TimestampMs* t = block.timestamps.data();
+    size_t kept = 0;
+    for (size_t k = 0; k < snippets.size(); ++k) {
+      const Snippet s = snippets[k];
+      const DurationMs dur = t[s.end - 1] - t[s.begin];
+      if (kept > 0 && dur < options.min_snippet) {
+        snippets[kept - 1].end = s.end;
       } else {
-        merged.push_back(s);
+        snippets[kept++] = s;
       }
     }
-    snippets = std::move(merged);
+    snippets.resize(kept);
   }
   return snippets;
 }
 
-}  // namespace
-
 std::vector<Snippet> SplitSequence(const PositioningSequence& seq,
                                    const SplitterOptions& options) {
-  return SplitImpl(seq, options);
-}
-
-std::vector<Snippet> SplitSequence(const RecordBlock& block,
-                                   const SplitterOptions& options) {
-  return SplitImpl(block, options);
+  // Per-thread block, reused across calls: the AoS form converts into the
+  // columns and runs the one implementation above.
+  static thread_local RecordBlock block;
+  block.AssignFrom(seq);
+  return SplitSequence(block, options);
 }
 
 }  // namespace trips::annotation

@@ -43,14 +43,17 @@ struct Snippet {
   size_t Size() const { return end - begin; }
 };
 
-/// Splits a time-sorted sequence into snippets. Returns an empty vector for
-/// sequences with fewer than 2 records.
-std::vector<Snippet> SplitSequence(const positioning::PositioningSequence& seq,
+/// Splits a time-sorted record block into snippets. Returns an empty vector
+/// for blocks with fewer than 2 records. An eps_space that is NaN or not
+/// positive gives no spatial neighbours (every record is its own
+/// neighbourhood). Works on reused per-thread scratch: after warm-up the
+/// only allocation is the returned vector.
+std::vector<Snippet> SplitSequence(const positioning::RecordBlock& block,
                                    const SplitterOptions& options = {});
 
-/// Columnar form over a time-sorted record block (shared implementation —
-/// snippets are identical to the AoS form).
-std::vector<Snippet> SplitSequence(const positioning::RecordBlock& block,
+/// AoS form: copies the sequence into a per-thread RecordBlock and runs the
+/// columnar splitter, so both forms return identical snippets.
+std::vector<Snippet> SplitSequence(const positioning::PositioningSequence& seq,
                                    const SplitterOptions& options = {});
 
 }  // namespace trips::annotation

@@ -85,6 +85,11 @@ class Engine {
   const complement::MobilityKnowledge& knowledge() const {
     return translator_->knowledge();
   }
+  /// The baseline knowledge compiled once at Build(): the stream and cluster
+  /// paths complement with this.
+  const complement::Complementor& complementor() const {
+    return translator_->complementor();
+  }
   /// Outcome of event-model training at Build() time: OK when training was
   /// not requested or succeeded; kFailedPrecondition when the corpus covered
   /// fewer than two patterns (the rule-based identifier is used then).
@@ -146,7 +151,20 @@ class Engine {
       const std::vector<TranslationResult>& results) const {
     return translator_->BuildKnowledgeFrom(results);
   }
-  /// Complementing layer for one result against the given knowledge.
+  /// Compiles knowledge (e.g. BuildKnowledge's) into a complementor with the
+  /// engine's options, for callers that complement many results with it.
+  complement::Complementor CompileKnowledge(
+      const complement::MobilityKnowledge& knowledge) const {
+    return translator_->CompileKnowledge(knowledge);
+  }
+  /// Complementing layer for one result with compiled knowledge.
+  void Complement(TranslationResult* result,
+                  const complement::Complementor& complementor,
+                  const TranslationStageMetrics* stages = nullptr) const {
+    translator_->ComplementResult(result, complementor, stages);
+  }
+  /// Complementing layer for one result against the given knowledge, which
+  /// is compiled once for this call.
   void Complement(TranslationResult* result,
                   const complement::MobilityKnowledge& knowledge,
                   const TranslationStageMetrics* stages = nullptr) const {
@@ -154,24 +172,19 @@ class Engine {
   }
   /// Full three-layer translation of one sequence with the baseline knowledge.
   TranslationResult Translate(const positioning::PositioningSequence& seq) const {
-    return TranslateWith(seq, knowledge());
-  }
-  /// Full three-layer translation against caller-supplied knowledge.
-  TranslationResult TranslateWith(const positioning::PositioningSequence& seq,
-                                  const complement::MobilityKnowledge& knowledge) const {
     TranslationResult result = CleanAndAnnotate(seq);
-    Complement(&result, knowledge);
+    Complement(&result, complementor());
     return result;
   }
   /// Columnar full translation: consumes `block` in place (the streaming
   /// path — buffers translate without ever materializing an input AoS copy).
   TranslationResult TranslateBlockWith(
       positioning::RecordBlock* block,
-      const complement::MobilityKnowledge& knowledge,
+      const complement::Complementor& complementor,
       util::ThreadPool* pool = nullptr,
       const TranslationStageMetrics* stages = nullptr) const {
     TranslationResult result = CleanAndAnnotate(block, pool, stages);
-    Complement(&result, knowledge, stages);
+    Complement(&result, complementor, stages);
     return result;
   }
 

@@ -20,6 +20,8 @@ TranslationStageMetrics ResolveStageMetrics(obs::MetricsRegistry* registry) {
   stages.complement_ns = registry->histogram("translate.complement_ns");
   stages.sequences = registry->counter("translate.sequences");
   stages.records = registry->counter("translate.records");
+  stages.infer_calls = registry->counter("complement.infer_calls");
+  stages.infer_states_popped = registry->counter("complement.infer_states_popped");
   // Per-pass breakdown inside the cleaning layer (/statsz shows where
   // cleaning time goes: scan vs interpolate vs smooth vs snap).
   stages.cleaning.scan_ns = registry->histogram("clean.scan_ns");
@@ -40,7 +42,8 @@ BatchSession::BatchSession(std::shared_ptr<const Engine> engine,
       pool_(pool),
       metrics_(std::move(metrics)),
       stages_(ResolveStageMetrics(metrics_.get())),
-      knowledge_(engine_->knowledge()) {
+      knowledge_(engine_->knowledge()),
+      complementor_(engine_->complementor()) {
   if (metrics_ != nullptr) {
     submit_ns_ = metrics_->histogram("translate.batch_submit_ns");
   }
@@ -49,6 +52,7 @@ BatchSession::BatchSession(std::shared_ptr<const Engine> engine,
 void BatchSession::ResetKnowledge(complement::MobilityKnowledge knowledge) {
   std::lock_guard<std::mutex> lock(mu_);
   knowledge_ = std::move(knowledge);
+  complementor_ = engine_->CompileKnowledge(knowledge_);
 }
 
 Result<TranslationResponse> BatchSession::Submit(const TranslationRequest& request) {
@@ -85,12 +89,13 @@ Result<TranslationResponse> BatchSession::Submit(const TranslationRequest& reque
     complement::MobilityKnowledge learned = engine_->BuildKnowledge(results);
     if (learned.observed_transitions > 0) {
       knowledge_ = std::move(learned);
+      complementor_ = engine_->CompileKnowledge(knowledge_);
     }
   }
 
-  // Layer 3 on every sequence, fanned out.
+  // Layer 3 on every sequence, fanned out over the one compiled knowledge.
   pool_->ParallelFor(results.size(), [&](size_t i) {
-    engine_->Complement(&results[i], knowledge_, &stages_);
+    engine_->Complement(&results[i], complementor_, &stages_);
   });
 
   // Deterministic output order: by device id, input order breaking ties.
@@ -229,7 +234,7 @@ Result<std::vector<TranslationResult>> StreamSession::TranslateAndDeliver(
     size_t flushed_records = block.Size();
     TranslationResult result;
     if (engine_ != nullptr) {
-      result = engine_->TranslateBlockWith(&block, engine_->knowledge(), pool_,
+      result = engine_->TranslateBlockWith(&block, engine_->complementor(), pool_,
                                            &stages_);
     } else {
       TRIPS_ASSIGN_OR_RETURN(result, translate_(block.ToSequence()));

@@ -85,6 +85,7 @@ class BatchSession {
   obs::Histogram* submit_ns_ = nullptr;  // whole-Submit wall time
   std::mutex mu_;  // serializes Submit
   complement::MobilityKnowledge knowledge_;
+  complement::Complementor complementor_;  // knowledge_ compiled
   std::atomic<size_t> translated_{0};
 };
 

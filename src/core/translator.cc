@@ -14,6 +14,7 @@ Status Translator::Init() {
                          dsm::RoutePlanner::Build(dsm_, options_.routing));
   planner_.emplace(std::move(planner));
   knowledge_ = complement::MobilityKnowledge::Uniform(*dsm_);
+  complementor_.emplace(CompileKnowledge(knowledge_));
   // Per-sequence layer state, hoisted: both objects are configuration-only
   // and const-thread-safe, so every translation reuses them.
   cleaner_.emplace(dsm_, &*planner_, options_.cleaner);
@@ -98,18 +99,35 @@ complement::MobilityKnowledge Translator::BuildKnowledgeFrom(
   return builder.Build(options_.knowledge_smoothing);
 }
 
+complement::Complementor Translator::CompileKnowledge(
+    const complement::MobilityKnowledge& knowledge) const {
+  return complement::Complementor(dsm_, &knowledge, options_.complementor);
+}
+
 void Translator::ComplementResult(TranslationResult* result,
-                                  const complement::MobilityKnowledge& knowledge,
+                                  const complement::Complementor& complementor,
                                   const TranslationStageMetrics* stages) const {
   obs::StageTimer complement_timer(stages != nullptr ? stages->complement_ns
                                                      : nullptr);
-  if (options_.enable_complementing) {
-    complement::Complementor complementor(dsm_, &knowledge, options_.complementor);
-    result->semantics =
-        complementor.Complement(result->original_semantics, &result->complement_report);
-  } else {
+  if (!options_.enable_complementing) {
     result->semantics = result->original_semantics;
+    return;
   }
+  result->semantics =
+      complementor.Complement(result->original_semantics, &result->complement_report);
+  if (stages != nullptr) {
+    const complement::ComplementReport& report = result->complement_report;
+    if (stages->infer_calls != nullptr) stages->infer_calls->Add(report.infer_calls);
+    if (stages->infer_states_popped != nullptr) {
+      stages->infer_states_popped->Add(report.infer_states_popped);
+    }
+  }
+}
+
+void Translator::ComplementResult(TranslationResult* result,
+                                  const complement::MobilityKnowledge& knowledge,
+                                  const TranslationStageMetrics* stages) const {
+  ComplementResult(result, CompileKnowledge(knowledge), stages);
 }
 
 Result<std::vector<TranslationResult>> Translator::TranslateAll(
@@ -127,10 +145,11 @@ Result<std::vector<TranslationResult>> Translator::TranslateAll(
   complement::MobilityKnowledge learned = BuildKnowledgeFrom(results);
   if (learned.observed_transitions > 0) {
     knowledge_ = std::move(learned);
+    complementor_.emplace(CompileKnowledge(knowledge_));
   }
 
   // Layer 3 on every sequence.
-  for (TranslationResult& r : results) ComplementResult(&r, knowledge_);
+  for (TranslationResult& r : results) ComplementResult(&r, *complementor_);
   return results;
 }
 
@@ -138,7 +157,7 @@ Result<TranslationResult> Translator::Translate(
     const positioning::PositioningSequence& seq) const {
   if (!initialized_) return Status::FailedPrecondition("call Init() first");
   TranslationResult result = CleanAndAnnotate(seq);
-  ComplementResult(&result, knowledge_);
+  ComplementResult(&result, *complementor_);
   return result;
 }
 

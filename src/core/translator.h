@@ -61,6 +61,10 @@ struct TranslationStageMetrics {
   obs::Histogram* complement_ns = nullptr;  ///< complementing layer, per sequence
   obs::Counter* sequences = nullptr;        ///< sequences clean+annotated
   obs::Counter* records = nullptr;          ///< raw records clean+annotated
+  /// Complementing work counters, added once per sequence from its
+  /// ComplementReport: MAP searches run and priority-queue pops they took.
+  obs::Counter* infer_calls = nullptr;
+  obs::Counter* infer_states_popped = nullptr;
   /// Per-pass breakdown inside the cleaning layer (clean.scan_ns etc.),
   /// forwarded into RawDataCleaner::CleanBlock; clean_ns is their sum plus
   /// the block sort.
@@ -150,15 +154,25 @@ class Translator {
       const std::vector<TranslationResult>& results) const;
 
   /// Complementing layer for one result: fills result->semantics from
-  /// result->original_semantics using `knowledge` (or copies it verbatim when
-  /// complementing is disabled in the options). `stages` (may be null)
-  /// receives the complement-stage timing.
+  /// result->original_semantics with `complementor` (or copies it verbatim
+  /// when complementing is disabled in the options). `stages` (may be null)
+  /// receives the complement-stage timing and work counters.
+  void ComplementResult(TranslationResult* result,
+                        const complement::Complementor& complementor,
+                        const TranslationStageMetrics* stages = nullptr) const;
+  /// As above against uncompiled `knowledge`: compiles it once for this call.
   void ComplementResult(TranslationResult* result,
                         const complement::MobilityKnowledge& knowledge,
                         const TranslationStageMetrics* stages = nullptr) const;
 
+  /// Compiles `knowledge` into a complementor with this translator's options.
+  complement::Complementor CompileKnowledge(
+      const complement::MobilityKnowledge& knowledge) const;
+
   /// The current mobility knowledge (uniform prior before any batch run).
   const complement::MobilityKnowledge& knowledge() const { return knowledge_; }
+  /// The current knowledge compiled (valid after Init).
+  const complement::Complementor& complementor() const { return *complementor_; }
   /// The event classifier (untrained => rule-based identification).
   const annotation::EventClassifier& classifier() const { return classifier_; }
   const TranslatorOptions& options() const { return options_; }
@@ -173,6 +187,7 @@ class Translator {
   std::optional<dsm::RoutePlanner> planner_;
   annotation::EventClassifier classifier_;
   complement::MobilityKnowledge knowledge_;
+  std::optional<complement::Complementor> complementor_;  // knowledge_ compiled
   // Layer instances hoisted out of the per-sequence path: constructed once at
   // Init() and shared by every CleanAndAnnotate call (all their methods are
   // const and thread-safe), instead of being rebuilt per sequence.

@@ -169,9 +169,13 @@ bool Polygon::Contains(const Point2& p) const {
 }
 
 double Polygon::BoundaryDistanceTo(const Point2& p) const {
+  // The edges of Edges(), visited in place: point-in-region tests call this
+  // once per probe, so it must not allocate.
   double best = 1e300;
-  for (const Segment& e : Edges()) {
-    best = std::min(best, e.DistanceTo(p));
+  const size_t n = vertices.size();
+  if (n < 2) return best;
+  for (size_t i = 0; i < n; ++i) {
+    best = std::min(best, Segment(vertices[i], vertices[(i + 1) % n]).DistanceTo(p));
   }
   return best;
 }

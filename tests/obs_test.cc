@@ -320,6 +320,53 @@ TEST_F(ObsServiceFixture, TranslationByteIdenticalMetricsOnOff) {
   }
 }
 
+// The complementing work counters are deterministic: the same at every
+// worker count, equal to the per-result reports they are summed from, and
+// recording them leaves the output bytes unchanged.
+TEST_F(ObsServiceFixture, ComplementWorkCountersMatchAcrossWorkers) {
+  std::vector<positioning::PositioningSequence> fleet = MakeFleet(8, 331);
+  std::vector<std::pair<std::string, std::string>> reference;
+  uint64_t calls = 0, pops = 0;
+  for (size_t workers : {0u, 1u, 4u}) {
+    for (bool metrics_on : {true, false}) {
+      core::ServiceOptions options;
+      options.worker_threads = workers;
+      options.metrics = std::make_shared<MetricsRegistry>(metrics_on);
+      core::Service service(engine_, options);
+      auto response = service.Translate({.sequences = fleet});
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      auto dump = DumpByDevice(response->results);
+      if (reference.empty()) reference = dump;
+      EXPECT_EQ(dump, reference)
+          << "workers=" << workers << " metrics_on=" << metrics_on;
+
+      uint64_t report_calls = 0, report_pops = 0;
+      for (const core::TranslationResult& r : response->results) {
+        report_calls += r.complement_report.infer_calls;
+        report_pops += r.complement_report.infer_states_popped;
+      }
+      MetricsSnapshot snap = service.stats_registry()->Snap();
+      std::map<std::string, uint64_t> counters(snap.counters.begin(),
+                                               snap.counters.end());
+      if (!metrics_on) {
+        EXPECT_EQ(counters.at("complement.infer_calls"), 0u);
+        EXPECT_EQ(counters.at("complement.infer_states_popped"), 0u);
+        continue;
+      }
+      EXPECT_EQ(counters.at("complement.infer_calls"), report_calls);
+      EXPECT_EQ(counters.at("complement.infer_states_popped"), report_pops);
+      if (calls == 0) {
+        calls = report_calls;
+        pops = report_pops;
+        EXPECT_GT(calls, 0u);
+        EXPECT_GE(pops, calls);
+      }
+      EXPECT_EQ(report_calls, calls) << "workers=" << workers;
+      EXPECT_EQ(report_pops, pops) << "workers=" << workers;
+    }
+  }
+}
+
 TEST_F(ObsServiceFixture, StreamSessionRecordsIngestToResultLatency) {
   core::ServiceOptions options;
   options.worker_threads = 0;
@@ -374,7 +421,8 @@ TEST_F(ObsServiceFixture, StatszCoversEveryLayer) {
        {"pool.queue_depth", "pool.task_wait_ns", "pool.task_run_ns",
         "pool.workers", "translate.clean_ns", "translate.split_ns",
         "translate.annotate_ns", "translate.complement_ns",
-        "translate.sequences", "stream.ingest_to_result_ns",
+        "translate.sequences", "complement.infer_calls",
+        "complement.infer_states_popped", "stream.ingest_to_result_ns",
         "routing.cache_hits", "routing.cache_misses", "routing.cache_size",
         "spatial.partition_probes", "spatial.snap_probes"}) {
     EXPECT_NE(statsz.find(key), std::string::npos) << "missing " << key;
