@@ -377,7 +377,7 @@ void BM_RegionVisitors(benchmark::State& state) {
 BENCHMARK(BM_RegionVisitors)->Unit(benchmark::kMicrosecond);
 
 /// Cold TripStore::Open of the scaled corpus + one narrow window, eager
-/// decode — the v1-era reference path (every segment decoded up front).
+/// decode — the parity reference path (every segment decoded up front).
 void BM_ColdOpenFirstWindow_Eager(benchmark::State& state) {
   const ScaledCorpus& corpus = ScaledCorpus::Get();
   TimeRange window = corpus.DayWindow(corpus.scale / 2);

@@ -138,7 +138,6 @@ Status Cluster::AddVenue(VenueConfig config) {
       {.directory = config.store_directory,
        .segment_max_sequences = config.segment_max_sequences,
        .worker_threads = 0,
-       .mmap = config.store_mmap,
        .partition_ms = config.store_partition_ms,
        .compaction = config.store_compaction,
        .shared_pool = &pool_,

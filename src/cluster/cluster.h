@@ -62,9 +62,6 @@ struct VenueConfig {
   size_t segment_max_sequences = 256;
   /// Width of the store's time-partition directories (<= 0: flat layout).
   DurationMs store_partition_ms = kMillisPerDay;
-  /// Memory-map sealed segments and decode lazily on reopen (see
-  /// store::StoreOptions::mmap).
-  bool store_mmap = true;
   /// Merge small sealed segments in the background after PersistAll (runs on
   /// the cluster's shared pool).
   bool store_compaction = true;

@@ -1,7 +1,6 @@
 // The translation service: owns one immutable core::Engine plus a small
 // shared worker pool, and hands out per-client sessions. This is the single
-// front door for both batch and streaming translation; core::Pipeline and
-// core::OnlineTranslator remain as thin deprecated adapters over it.
+// front door for both batch and streaming translation.
 //
 //     auto engine = core::Engine::Builder().SetDsm(std::move(mall)).Build();
 //     core::Service service(engine.ValueOrDie(), {.worker_threads = 4});

@@ -144,24 +144,18 @@ class StreamSession {
  public:
   /// Receives flushed results when installed via SetSink.
   using Sink = std::function<void(TranslationResult)>;
-  /// Pluggable per-buffer translation (used by the OnlineTranslator shim to
-  /// keep translating through a caller-owned stateful Translator).
-  using TranslateFn =
-      std::function<Result<TranslationResult>(const positioning::PositioningSequence&)>;
 
-  /// Engine-backed session: buffers are translated with the engine's baseline
-  /// knowledge. `pool` (may be null; normally the owning Service's pool)
-  /// parallelizes cleaning inside long flushed buffers. `metrics` (may be
-  /// null) receives the stream ingest metrics — including the true
-  /// ingest-to-result latency: each device buffer is stamped when its FIRST
-  /// record arrives, and the stamp-to-delivery time of every flushed buffer
-  /// lands in stream.ingest_to_result_ns.
+  /// Buffers are translated with the engine's baseline knowledge. `pool`
+  /// (may be null; normally the owning Service's pool) parallelizes cleaning
+  /// inside long flushed buffers. `metrics` (may be null) receives the
+  /// stream ingest metrics — including the true ingest-to-result latency:
+  /// each device buffer is stamped when its FIRST record arrives, and the
+  /// stamp-to-delivery time of every flushed buffer lands in
+  /// stream.ingest_to_result_ns.
   explicit StreamSession(std::shared_ptr<const Engine> engine,
                          StreamOptions options = {},
                          util::ThreadPool* pool = nullptr,
                          std::shared_ptr<obs::MetricsRegistry> metrics = nullptr);
-  /// Hook-backed session: buffers are translated by `translate`.
-  explicit StreamSession(TranslateFn translate, StreamOptions options = {});
 
   /// Installs (or, with nullptr, removes) the delivery callback. The sink is
   /// invoked from whichever thread triggered the flush, one result at a time,
@@ -223,7 +217,7 @@ class StreamSession {
     obs::Histogram* ingest_to_result_ns = nullptr;
   };
 
-  // Shared ctor tail: resolves metric pointers out of metrics_.
+  // Ctor tail: resolves metric pointers out of metrics_.
   void WireMetrics();
   // Now on the trace-stamp clock: options_.trace_clock when installed, else
   // obs::NowNanos(). Every ingest stamp and delivery reading goes through
@@ -247,8 +241,7 @@ class StreamSession {
   Result<std::vector<TranslationResult>> TranslateAndDeliver(
       std::vector<PoppedBuffer> popped);
 
-  std::shared_ptr<const Engine> engine_;  // null for hook-backed sessions
-  TranslateFn translate_;                 // set for hook-backed sessions only
+  std::shared_ptr<const Engine> engine_;
   StreamOptions options_;
   util::ThreadPool* pool_ = nullptr;      // may be null (serial cleaning)
   std::shared_ptr<obs::MetricsRegistry> metrics_;  // may be null

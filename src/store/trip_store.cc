@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -22,6 +21,8 @@ namespace {
 constexpr const char* kSegmentPrefix = "segment-";
 constexpr const char* kSegmentSuffix = ".tseg";
 constexpr const char* kPartitionPrefix = "part-";
+// Leading bytes of the retired v1 segment format, which Open refuses.
+constexpr char kRetiredSegmentMagic[4] = {'T', 'S', 'G', '1'};
 
 std::string SegmentFileName(size_t index) {
   char buf[32];
@@ -57,7 +58,7 @@ void GrowSpan(TimeRange* span, bool* has_span, const TimeRange& range) {
   span->end = std::max(span->end, range.end);
 }
 
-// TRIPS_STORE_NO_MMAP (set, non-empty, not "0") forces the eager v1-style
+// TRIPS_STORE_NO_MMAP (set, non-empty, not "0") forces the eager
 // read path — the parity reference for the mmap path and the escape hatch on
 // filesystems where mapping misbehaves.
 bool MmapDisabledByEnv() {
@@ -265,11 +266,8 @@ struct TripStore::StagedSegmentIndex {
 struct TripStore::PendingLoad {
   std::string file;       ///< path relative to the store directory
   MappedFile mapping;
-  bool v2 = false;
-  SegmentFooter footer;   ///< valid when v2
-  uint64_t checksum = 0;  ///< footer checksum (v2) or whole-blob FNV (v1)
-  std::vector<core::MobilitySemanticsSequence> decoded;  ///< v1 or eager v2
-  bool materialized = false;
+  SegmentFooter footer;
+  std::vector<core::MobilitySemanticsSequence> decoded;  ///< eager open only
 };
 
 TripStore::TripStore(StoreOptions options)
@@ -338,42 +336,41 @@ std::string TripStore::PartitionedFileName(int64_t partition,
 }
 
 Result<TripStore::PendingLoad> TripStore::MapSegmentFile(
-    const std::string& relative) const {
+    const std::string& relative, bool* retired) const {
   PendingLoad load;
   load.file = relative;
   std::filesystem::path abs =
       std::filesystem::path(options_.directory) / relative;
   TRIPS_ASSIGN_OR_RETURN(load.mapping, MappedFile::Map(abs.string()));
   std::string_view view = load.mapping.view();
-  if (view.size() > sizeof(kSegmentMagic) &&
-      std::memcmp(view.data(), kSegmentMagic, sizeof(kSegmentMagic)) == 0) {
-    // Legacy v1 segment: no footer, so the only way in is a full decode.
-    TRIPS_ASSIGN_OR_RETURN(load.decoded, DecodeSegment(view));
-    load.checksum = SegmentChecksum(view);
-    load.materialized = true;
-    return load;
+  // The v1 format has no footer, so its footer parse would fail like a torn
+  // tail and recovery would silently drop a whole legacy store. Refuse it.
+  if (view.starts_with(std::string_view(kRetiredSegmentMagic,
+                                        sizeof(kRetiredSegmentMagic)))) {
+    *retired = true;
+    return Status::ParseError(relative +
+                              ": retired v1 (TSG1) segment format is no "
+                              "longer readable");
   }
-  load.v2 = true;
   TRIPS_ASSIGN_OR_RETURN(load.footer, ReadSegmentFooter(view));
-  load.checksum = load.footer.checksum;
   if (!options_.mmap) {
     // Eager parity path: decode (and checksum-verify) the body up front.
     TRIPS_ASSIGN_OR_RETURN(load.decoded, DecodeSegment(view));
-    load.materialized = true;
   }
   return load;
 }
 
 void TripStore::AttachLoadedLocked(PendingLoad load) {
-  uint64_t count = load.v2 ? load.footer.sequence_count : load.decoded.size();
-  if (count == 0) return;  // empty segment files contribute nothing
+  const SegmentFooter& footer = load.footer;
+  // Empty segment files contribute nothing.
+  if (footer.sequence_count == 0) return;
   {
     auto segment = std::make_unique<Segment>();
     segment->base = static_cast<SequenceId>(sequence_count_);
     segment->sealed = true;
     segment->persisted = true;
     segment->file = std::move(load.file);
-    segment->checksum = load.checksum;
+    segment->checksum = footer.checksum;
     segments_.push_back(std::move(segment));
   }
   Segment& segment = *segments_.back();
@@ -381,24 +378,12 @@ void TripStore::AttachLoadedLocked(PendingLoad load) {
   if (metrics_.persisted_segments != nullptr) {
     metrics_.persisted_segments->Add(1);
   }
-  if (!load.v2) {
-    // v1: indexed sequence by sequence, exactly like the legacy open path.
-    // Staged v2 footers (if any) must land first so per-region posting order
-    // stays global append order.
-    HydrateIndexesLocked();
-    for (core::MobilitySemanticsSequence& seq : load.decoded) {
-      AddToLastSegmentLocked(std::move(seq));
-    }
-    return;
-  }
-
-  const SegmentFooter& footer = load.footer;
   segment.sequence_count = footer.sequence_count;
   segment.triplet_count = footer.triplet_count;
   segment.span = footer.span;
   segment.has_span = footer.has_span;
   segment.mapping = std::move(load.mapping);
-  if (load.materialized) {
+  if (!options_.mmap) {
     segment.sequences = std::move(load.decoded);
   } else {
     segment.materialized.store(false, std::memory_order_relaxed);
@@ -479,9 +464,11 @@ Status TripStore::LoadDirectoryLocked() {
     if (ParseSegmentFileName(name, &file_index)) {
       next_file_index_ = std::max(next_file_index_, file_index + 1);
     }
-    Result<PendingLoad> load = MapSegmentFile(entry.file);
+    bool retired = false;
+    Result<PendingLoad> load = MapSegmentFile(entry.file, &retired);
+    if (retired) return load.status();
     if (!load.ok() ||
-        (entry.checksum != 0 && load->checksum != entry.checksum)) {
+        (entry.checksum != 0 && load->footer.checksum != entry.checksum)) {
       // Torn or missing segment despite being checkpointed: drop it and keep
       // the rest of the store readable. The file (if any) is left on disk
       // for forensics — it is referenced, so cleanup below spares it.
@@ -562,7 +549,9 @@ Status TripStore::ScanDirectoryLocked() {
     if (ParseSegmentFileName(name, &file_index)) {
       next_file_index_ = std::max(next_file_index_, file_index + 1);
     }
-    Result<PendingLoad> load = MapSegmentFile(relative);
+    bool retired = false;
+    Result<PendingLoad> load = MapSegmentFile(relative, &retired);
+    if (retired) return load.status();
     if (!load.ok()) {
       // Scan mode is crash recovery: skip what cannot be validated (torn
       // tails) instead of refusing to open.
@@ -573,16 +562,11 @@ Status TripStore::ScanDirectoryLocked() {
     }
     loads.push_back(std::move(load).ValueOrDie());
   }
-  // Append order: legacy v1 files first in name order (their file index IS
-  // the append order), then v2 files by the base-ordinal hint their footers
-  // carry — which survives compaction renumbering the files.
+  // Append order: by the base-ordinal hint the footers carry — which
+  // survives compaction renumbering the files.
   std::stable_sort(loads.begin(), loads.end(),
                    [](const PendingLoad& a, const PendingLoad& b) {
-                     if (a.v2 != b.v2) return !a.v2;
-                     if (a.v2) {
-                       return a.footer.base_ordinal < b.footer.base_ordinal;
-                     }
-                     return a.file < b.file;
+                     return a.footer.base_ordinal < b.footer.base_ordinal;
                    });
   for (PendingLoad& load : loads) AttachLoadedLocked(std::move(load));
   return Status::OK();
@@ -755,7 +739,7 @@ size_t TripStore::dropped_count() const {
 
 Status TripStore::PersistSegmentLocked(size_t segment_index) {
   Segment& segment = *segments_[segment_index];
-  std::string blob = EncodeSegmentV2(segment.sequences, segment.base);
+  std::string blob = EncodeSegment(segment.sequences, segment.base);
   int64_t partition = segment.has_span ? segment.partition : 0;
   std::string relative = PartitionedFileName(partition, next_file_index_);
   std::filesystem::path path =
@@ -860,7 +844,7 @@ Status TripStore::ExecuteCompaction(const PendingCompaction& pending) {
                     segment.sequences.end());
     }
   }
-  std::string blob = EncodeSegmentV2(merged, pending.base);
+  std::string blob = EncodeSegment(merged, pending.base);
   std::filesystem::path path =
       std::filesystem::path(options_.directory) / pending.file;
   TRIPS_RETURN_NOT_OK(WriteFileAtomic(path, blob));

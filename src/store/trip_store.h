@@ -14,7 +14,7 @@
 //     auto lunch = stored.ValueOrDie()->RegionVisitors(adidas, t0, t1);
 //     core::MobilityAnalytics a = stored.ValueOrDie()->BuildAnalytics(&dsm);
 //
-// On-disk layout: sealed segments are v2 (mmap-readable) blobs named
+// On-disk layout: sealed segments are mmap-readable blobs named
 // "segment-NNNNNN.tseg" inside time-partition directories
 // ("part-<bucket>/", bucket = floor(span begin / partition_ms)), with
 // "MANIFEST.json" as the atomic checkpoint listing the live segments in
@@ -22,8 +22,8 @@
 // footer + index block — device postings, region postings with time fences,
 // per-segment spans and the flow matrix are all rebuilt from footers without
 // decoding a single triplet column. A segment's body is materialized lazily
-// on the first query that touches it, and cached. Legacy v1 segments (flat
-// directory, no manifest) are still opened via a full eager decode.
+// on the first query that touches it, and cached. A directory holding a
+// segment in the retired v1 format fails to open.
 //
 // Background compaction merges runs of small adjacent sealed segments of one
 // partition into full segments on the worker pool (inline with zero
@@ -69,8 +69,8 @@ struct StoreOptions {
   /// background compaction (0 = everything on the calling thread).
   size_t worker_threads = 0;
   /// Memory-map sealed segments and materialize their bodies lazily on first
-  /// touch. false: eager v1-style open (read + decode everything up front) —
-  /// the parity reference for the mmap path. The TRIPS_STORE_NO_MMAP
+  /// touch. false: eager open (read, checksum and decode every segment up
+  /// front) — the parity reference for the mmap path. The TRIPS_STORE_NO_MMAP
   /// environment variable (any value but "0") forces false.
   bool mmap = true;
   /// Width of one time-partition directory ("part-<bucket>/"). <= 0: flat
@@ -132,7 +132,9 @@ class TripStore {
   /// Opens a store: memory-only when `options.directory` is empty, otherwise
   /// loads the directory's manifest (or scans it when the manifest is
   /// missing or torn), maps every live segment and continues appending after
-  /// them.
+  /// them. Segments that fail validation (torn, corrupt) are dropped and
+  /// counted in store.dropped_segments; a segment in the retired v1 format
+  /// fails the open with ParseError instead.
   static Result<std::unique_ptr<TripStore>> Open(StoreOptions options = {});
 
   ~TripStore();
@@ -325,7 +327,12 @@ class TripStore {
   Status ScanDirectoryLocked();
   struct StagedSegmentIndex;
 
-  Result<PendingLoad> MapSegmentFile(const std::string& relative) const;
+  // Maps one segment file and validates its footer (decoding the body up
+  // front when mmap is off). Any failure lets the caller drop the file,
+  // except a file in the retired v1 format: that sets *retired, and Open
+  // fails with the returned error.
+  Result<PendingLoad> MapSegmentFile(const std::string& relative,
+                                     bool* retired) const;
   void AttachLoadedLocked(PendingLoad load);
   /// Applies every staged segment footer to the in-memory indexes (device
   /// map, region postings, flow matrix). Cheap no-op once hydrated.

@@ -30,8 +30,10 @@ void ThreadPool::WorkerLoop() {
       if (queue_.empty()) return;  // stopping_ with a drained queue
       task = std::move(queue_.front());
       queue_.pop_front();
+      // Inside the lock, mirroring the Add, so the gauge always equals the
+      // queue length whenever mu_ is free.
+      if (metrics_.queue_depth != nullptr) metrics_.queue_depth->Sub(1);
     }
-    if (metrics_.queue_depth != nullptr) metrics_.queue_depth->Sub(1);
     if (task.enqueue_ns != 0 && metrics_.task_wait_ns != nullptr) {
       metrics_.task_wait_ns->Record(obs::NowNanos() - task.enqueue_ns);
     }
@@ -98,7 +100,7 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (size_t i = 0; i < helpers; ++i) {
-      queue_.push_back(Task{drain, enqueue_ns});
+      queue_.push_back(Task{drain, enqueue_ns, state.get()});
     }
     // Inside the lock so the gauge can never go transiently negative (a
     // worker cannot dequeue-and-Sub before this Add).
@@ -109,8 +111,19 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   for (size_t i = 0; i < helpers; ++i) work_cv_.notify_one();
 
   drain();
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->done_cv.wait(lock, [&] { return state->done.load() == n; });
+  {
+    std::unique_lock<std::mutex> lock(state->mu);
+    state->done_cv.wait(lock, [&] { return state->done.load() == n; });
+  }
+  // Every item is done, so helpers still queued would only find the range
+  // exhausted: withdraw them instead of leaving no-ops that inflate the
+  // queue depth. `state` is alive, so its address tags only this call.
+  std::lock_guard<std::mutex> lock(mu_);
+  size_t withdrawn = std::erase_if(
+      queue_, [&](const Task& task) { return task.join == state.get(); });
+  if (withdrawn > 0 && metrics_.queue_depth != nullptr) {
+    metrics_.queue_depth->Sub(static_cast<int64_t>(withdrawn));
+  }
 }
 
 }  // namespace trips::util

@@ -75,6 +75,10 @@ class ThreadPool {
   struct Task {
     std::function<void()> fn;
     uint64_t enqueue_ns = 0;
+    /// Join state of the ParallelFor call this helper drains (null for
+    /// Submit tasks): after its join the call withdraws its helpers still
+    /// queued, which the drains made redundant.
+    const void* join = nullptr;
   };
 
   void WorkerLoop();

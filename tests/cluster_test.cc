@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -357,6 +358,7 @@ TEST_F(ClusterFixture, UnknownVenueAndBadConfigsAreRejected) {
 
 TEST_F(ClusterFixture, PersistAllWritesEveryVenueDirectory) {
   std::string root = ::testing::TempDir() + "cluster_persist";
+  std::filesystem::remove_all(root);  // no segments left by an earlier run
   Cluster city({.worker_threads = 2});
   for (const TestVenue& venue : venues_) {
     ASSERT_TRUE(city.AddVenue({.venue_id = venue.id,
@@ -373,7 +375,11 @@ TEST_F(ClusterFixture, PersistAllWritesEveryVenueDirectory) {
     EXPECT_GT(stats.sequences, 0u) << venue.id;
     EXPECT_EQ(stats.persisted_segments, stats.segments) << venue.id;
 
-    // A fresh store over the same directory sees the same sequences.
+    // A fresh store over the same directory sees the same sequences once the
+    // background compaction PersistAll scheduled has settled (a merge deletes
+    // its inputs after the manifest swap, so a reader racing it can map a
+    // manifest whose files are already gone).
+    city.venue_store(venue.id)->WaitForCompaction();
     auto reopened = store::TripStore::Open({.directory = root + "/" + venue.id});
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
     EXPECT_EQ((*reopened)->Stats().sequences, stats.sequences) << venue.id;

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/result_io.h"
+#include "dsm/dsm_json.h"
 #include "dsm/sample_spaces.h"
 #include "mobility/generator.h"
 #include "positioning/error_model.h"
@@ -76,6 +78,16 @@ TEST_F(EngineFixture, OwnedDsmGetsTopologyComputed) {
   EXPECT_NE((*engine)->translator(), nullptr);
   EXPECT_TRUE((*engine)->training_status().ok());
   EXPECT_FALSE((*engine)->classifier().trained());
+}
+
+TEST_F(EngineFixture, LoadDsmFileBuildsEngine) {
+  std::string path = testing::TempDir() + "/trips_engine_dsm.json";
+  ASSERT_TRUE(dsm::SaveToFile(*mall_, path).ok());
+  auto engine = Engine::Builder().LoadDsmFile(path).Build();
+  std::remove(path.c_str());
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_EQ((*engine)->dsm().entities().size(), mall_->entities().size());
+  EXPECT_TRUE((*engine)->dsm().topology_computed());
 }
 
 TEST_F(EngineFixture, LoadDsmFileFailsOnMissingFile) {

@@ -7,13 +7,9 @@
 
 #include "core/result_io.h"
 #include "core/service.h"
-#include "core/pipeline.h"
 #include "dsm/sample_spaces.h"
 #include "mobility/generator.h"
 #include "positioning/error_model.h"
-
-// The shim-equivalence tests below deliberately exercise deprecated Pipeline.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 namespace trips::core {
 namespace {
@@ -74,7 +70,7 @@ class ServiceFixture : public ::testing::Test {
 TEST_F(ServiceFixture, BatchByteIdenticalToLegacyTranslateAll) {
   std::vector<positioning::PositioningSequence> fleet = MakeFleet(6, 101);
 
-  // The legacy batch path (what Pipeline::Run executed before the redesign).
+  // The single-threaded Translator path.
   Translator legacy(mall_.get());
   ASSERT_TRUE(legacy.Init().ok());
   auto reference = legacy.TranslateAll(fleet);
@@ -137,14 +133,16 @@ TEST_F(ServiceFixture, ConcurrentBatchSessionsShareOneEngine) {
 
   constexpr int kThreads = 4;
   std::vector<std::vector<std::pair<std::string, std::string>>> got(kThreads);
-  std::vector<bool> ok(kThreads, false);
+  // One byte per thread: std::vector<bool> packs bits, so concurrent writes
+  // to different elements would race on a shared word.
+  std::vector<uint8_t> ok(kThreads, 0);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       auto session = service.NewBatchSession();
       auto response = session->Submit({.sequences = fleet});
       if (!response.ok()) return;
-      ok[t] = true;
+      ok[t] = 1;
       got[t] = DumpByDevice(response->results);
     });
   }
@@ -363,65 +361,6 @@ TEST_F(ServiceFixture, TraceClockInjectionDrivesLatencyStamps) {
   auto wall = wall_stream->FlushAll();
   ASSERT_TRUE(wall.ok());
   EXPECT_EQ(DumpByDevice(*wall), DumpByDevice(*flushed));
-}
-
-TEST_F(ServiceFixture, PipelineShimDelegatesToService) {
-  std::vector<positioning::PositioningSequence> fleet = MakeFleet(4, 157);
-
-  Pipeline pipeline;
-  pipeline.selector().AddSequences(fleet);
-  ASSERT_TRUE(pipeline.SetDsm(*mall_).ok());
-  ASSERT_NE(pipeline.service(), nullptr);
-  ASSERT_NE(pipeline.engine(), nullptr);
-  EXPECT_EQ(pipeline.translator(), pipeline.engine()->translator());
-
-  auto via_pipeline = pipeline.Run();
-  ASSERT_TRUE(via_pipeline.ok()) << via_pipeline.status().ToString();
-
-  Service service(engine_, {});
-  auto via_service = service.Translate({.sequences = fleet});
-  ASSERT_TRUE(via_service.ok());
-  EXPECT_EQ(DumpByDevice(*via_pipeline), DumpByDevice(via_service->results));
-  // The pipeline's output is device-id sorted like every Service aggregate.
-  for (size_t i = 1; i < via_pipeline->size(); ++i) {
-    EXPECT_LE((*via_pipeline)[i - 1].semantics.device_id,
-              (*via_pipeline)[i].semantics.device_id);
-  }
-}
-
-TEST_F(ServiceFixture, PipelineDsmPointerStableAcrossRetraining) {
-  Pipeline pipeline;
-  pipeline.selector().AddSequences(MakeFleet(2, 163));
-  ASSERT_TRUE(pipeline.SetDsm(*mall_).ok());
-  const dsm::Dsm* installed = pipeline.dsm();
-  ASSERT_NE(installed, nullptr);
-
-  // Designate training data so Run() rebuilds the engine with a trained
-  // event model; the installed DSM must survive the rebuild.
-  Rng rng(167);
-  ASSERT_TRUE(pipeline.event_editor().DefinePattern(kEventStay).ok());
-  ASSERT_TRUE(pipeline.event_editor().DefinePattern(kEventPassBy).ok());
-  ASSERT_TRUE(pipeline.event_editor().DefinePattern(kEventWander).ok());
-  for (int d = 0; d < 5; ++d) {
-    auto dev = generator_->GenerateDevice("t" + std::to_string(d), 0, &rng);
-    ASSERT_TRUE(dev.ok());
-    for (const MobilitySemantic& s : dev->semantics.semantics) {
-      pipeline.event_editor().DesignateRange(s.event, dev->truth, s.range);
-    }
-  }
-  size_t revision = pipeline.event_editor().revision();
-  std::shared_ptr<const Engine> before = pipeline.engine();
-
-  ASSERT_TRUE(pipeline.Run().ok());
-  EXPECT_EQ(pipeline.dsm(), installed);         // no dangling/retargeted DSM
-  EXPECT_NE(pipeline.engine(), before);         // engine was retrained
-  EXPECT_TRUE(pipeline.translator()->classifier().trained());
-
-  // Unchanged corpus => second Run reuses the trained engine.
-  std::shared_ptr<const Engine> trained = pipeline.engine();
-  ASSERT_TRUE(pipeline.Run().ok());
-  EXPECT_EQ(pipeline.engine(), trained);
-  EXPECT_EQ(pipeline.event_editor().revision(), revision);
 }
 
 }  // namespace

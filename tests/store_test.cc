@@ -176,51 +176,97 @@ std::string AnswerSignature(const TripStore& stored) {
   return out.str();
 }
 
-TEST(SegmentCodecTest, RoundTripIsLosslessAndByteStable) {
-  std::vector<core::MobilitySemanticsSequence> corpus = TrickyCorpus();
-  std::string blob = EncodeSegment(corpus);
-  auto decoded = DecodeSegment(blob);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  ASSERT_EQ(decoded->size(), corpus.size());
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    EXPECT_EQ((*decoded)[i].device_id, corpus[i].device_id) << i;
-    EXPECT_EQ((*decoded)[i].semantics, corpus[i].semantics) << i;
+// Size of the fixed segment footer: nine u64 fields, a padded flag word, the
+// checksum and the trailing magic.
+constexpr size_t kFooterBytes = 9 * 8 + 4 + 8 + 4;
+
+uint64_t FooterField(const std::string& blob, size_t offset) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<uint64_t>(static_cast<uint8_t>(
+             blob[blob.size() - kFooterBytes + offset + i]))
+         << (8 * i);
   }
-  // Re-encoding the decoded corpus reproduces the blob byte for byte.
-  EXPECT_EQ(EncodeSegment(*decoded), blob);
+  return v;
+}
+
+// Rewrites the footer checksum over the (possibly patched) prefix, so a
+// corrupted body passes the integrity check and reaches the field checks.
+void RestampChecksum(std::string* blob) {
+  uint64_t checksum = SegmentChecksum(
+      std::string_view(*blob).substr(0, blob->size() - kFooterBytes));
+  for (int i = 0; i < 8; ++i) {
+    (*blob)[blob->size() - kFooterBytes + 76 + i] =
+        static_cast<char>((checksum >> (8 * i)) & 0xff);
+  }
+}
+
+TEST(SegmentCodecTest, RoundTripIsLosslessAndByteStable) {
+  // Edge shapes: no sequences, and one sequence without triplets.
+  core::MobilitySemanticsSequence bare;
+  bare.device_id = "bare";
+  for (const auto& corpus :
+       {std::vector<core::MobilitySemanticsSequence>{},
+        std::vector<core::MobilitySemanticsSequence>{bare}}) {
+    std::string blob = EncodeSegment(corpus, /*base_ordinal=*/UINT64_MAX);
+    // The on-disk header is the "TSG2" magic and format version 2.
+    EXPECT_EQ(blob.substr(0, 5), std::string("TSG2\x02", 5));
+    auto decoded = DecodeSegment(blob);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    ASSERT_EQ(decoded->size(), corpus.size());
+    for (size_t i = 0; i < corpus.size(); ++i) {
+      EXPECT_EQ((*decoded)[i].device_id, corpus[i].device_id);
+      EXPECT_EQ((*decoded)[i].semantics, corpus[i].semantics);
+    }
+    auto footer = ReadSegmentFooter(blob);
+    ASSERT_TRUE(footer.ok()) << footer.status().ToString();
+    EXPECT_EQ(footer->base_ordinal, UINT64_MAX);
+    EXPECT_FALSE(footer->has_span);
+    EXPECT_EQ(EncodeSegment(*decoded, UINT64_MAX), blob);
+  }
 }
 
 TEST(SegmentCodecTest, RejectsForeignAndCorruptBlobs) {
   EXPECT_FALSE(DecodeSegment("").ok());
   EXPECT_FALSE(DecodeSegment("JSON{}").ok());
-  std::string blob = EncodeSegment(TrickyCorpus());
+  std::string blob = EncodeSegment(TrickyCorpus(), 0);
   EXPECT_FALSE(DecodeSegment(std::string_view(blob).substr(0, blob.size() / 2)).ok());
   EXPECT_FALSE(DecodeSegment(blob + "x").ok());
   std::string wrong_version = blob;
   wrong_version[4] = 9;
   EXPECT_FALSE(DecodeSegment(wrong_version).ok());
-  // A corrupt count larger than the remaining bytes must fail cleanly, not
-  // feed an absurd value to reserve().
-  std::string huge_count(kSegmentMagic, sizeof(kSegmentMagic));
-  huge_count.push_back(1);  // version
-  huge_count += std::string("\xff\xff\xff\xff\xff\xff\xff\x7f", 8);  // 2^49-ish
+
+  // One sequence "d" with one triplet; every body varint is one byte:
+  //   [device 0][count 1][event][region][name][begin delta][duration 5]
+  core::MobilitySemanticsSequence one;
+  one.device_id = "d";
+  one.semantics.push_back({core::kEventStay, 0, "A", {0, 5}, false});
+  const std::string valid = EncodeSegment({one}, 0);
+  const size_t body = static_cast<size_t>(FooterField(valid, 8));
+  ASSERT_EQ(valid[body + 1], 1);   // triplet count
+  ASSERT_EQ(valid[body + 6], 10);  // zigzag(5)
+  std::string restamped = valid;
+  RestampChecksum(&restamped);
+  ASSERT_EQ(restamped, valid);
+  // A corrupt triplet count larger than the remaining body bytes must fail
+  // cleanly, not feed an absurd value to the column allocations.
+  std::string huge_count = valid;
+  huge_count[body + 1] = 0x7f;
+  RestampChecksum(&huge_count);
   EXPECT_FALSE(DecodeSegment(huge_count).ok());
   // A negative triplet duration (zigzag(-1)) violates the begin<=end
   // invariant Append enforces and must be rejected, not indexed.
-  std::string bad_range(kSegmentMagic, sizeof(kSegmentMagic));
-  bad_range.push_back(1);                           // version
-  bad_range += std::string("\x01\x01", 2);          // 1 string: "a"
-  bad_range += "a";
-  bad_range += std::string("\x01\x00\x01", 3);      // 1 sequence, device 0, 1 triplet
-  bad_range += std::string("\x00\x00\x00\x00\x01", 5);  // duration = zigzag^-1(1) = -1
+  std::string bad_range = valid;
+  bad_range[body + 6] = 1;
+  RestampChecksum(&bad_range);
   EXPECT_FALSE(DecodeSegment(bad_range).ok());
 }
 
 TEST(SegmentCodecV2Test, RoundTripIsLosslessAndByteStable) {
   std::vector<core::MobilitySemanticsSequence> corpus = TrickyCorpus();
-  std::string blob = EncodeSegmentV2(corpus, /*base_ordinal=*/17);
+  std::string blob = EncodeSegment(corpus, /*base_ordinal=*/17);
   ASSERT_GT(blob.size(), 8u);
-  EXPECT_EQ(blob.substr(0, 4), std::string(kSegmentMagicV2, 4));
+  EXPECT_EQ(blob.substr(0, 4), std::string(kSegmentMagic, 4));
   EXPECT_EQ(blob.substr(blob.size() - 4), std::string(kSegmentFooterMagic, 4));
 
   auto decoded = DecodeSegment(blob);
@@ -230,12 +276,12 @@ TEST(SegmentCodecV2Test, RoundTripIsLosslessAndByteStable) {
     EXPECT_EQ((*decoded)[i].device_id, corpus[i].device_id) << i;
     EXPECT_EQ((*decoded)[i].semantics, corpus[i].semantics) << i;
   }
-  EXPECT_EQ(EncodeSegmentV2(*decoded, 17), blob);
+  EXPECT_EQ(EncodeSegment(*decoded, 17), blob);
 }
 
 TEST(SegmentCodecV2Test, FooterIndexesWithoutTouchingTheBody) {
   std::vector<core::MobilitySemanticsSequence> corpus = TrickyCorpus();
-  std::string blob = EncodeSegmentV2(corpus, /*base_ordinal=*/17);
+  std::string blob = EncodeSegment(corpus, /*base_ordinal=*/17);
   auto footer = ReadSegmentFooter(blob);
   ASSERT_TRUE(footer.ok()) << footer.status().ToString();
   EXPECT_EQ(footer->sequence_count, 3u);
@@ -271,7 +317,7 @@ TEST(SegmentCodecV2Test, FooterIndexesWithoutTouchingTheBody) {
 }
 
 TEST(SegmentCodecV2Test, RejectsCorruptBlobs) {
-  std::string blob = EncodeSegmentV2(TrickyCorpus(), 0);
+  std::string blob = EncodeSegment(TrickyCorpus(), 0);
   // Truncation kills both the full decode and the footer parse.
   std::string_view half = std::string_view(blob).substr(0, blob.size() / 2);
   EXPECT_FALSE(DecodeSegment(half).ok());
@@ -285,8 +331,7 @@ TEST(SegmentCodecV2Test, RejectsCorruptBlobs) {
   bad_tail[blob.size() - 1] ^= 0x01;
   EXPECT_FALSE(ReadSegmentFooter(bad_tail).ok());
   EXPECT_FALSE(DecodeSegment(bad_tail).ok());
-  // The footer parser refuses v1 blobs outright.
-  EXPECT_FALSE(ReadSegmentFooter(EncodeSegment(TrickyCorpus())).ok());
+  EXPECT_FALSE(ReadSegmentFooter("JSON{}").ok());
   EXPECT_FALSE(ReadSegmentFooter("").ok());
 }
 
@@ -986,6 +1031,50 @@ TEST_F(StorePersistenceFixture, DropsTruncatedSegmentOnReopen) {
   EXPECT_EQ((*third)->Stats().sequences, 6u);
 }
 
+// A segment in the retired v1 format has no footer, so recovery would drop
+// it like a torn tail and silently lose a legacy store. Open refuses it.
+TEST_F(StorePersistenceFixture, RejectsRetiredV1Segments) {
+  // A pre-manifest flat directory holding one v1 segment: scan mode.
+  std::filesystem::create_directories(dir_);
+  {
+    std::ofstream out(std::filesystem::path(dir_) / "segment-000000.tseg",
+                      std::ofstream::binary);
+    out << std::string("TSG1\x01\x00\x00", 7);  // empty v1 segment
+  }
+  StoreOptions options = DiskOptions();
+  options.metrics = std::make_shared<obs::MetricsRegistry>();
+  auto scanned = TripStore::Open(options);
+  ASSERT_FALSE(scanned.ok());
+  EXPECT_EQ(scanned.status().code(), StatusCode::kParseError);
+  EXPECT_NE(scanned.status().ToString().find("TSG1"), std::string::npos)
+      << scanned.status().ToString();
+  EXPECT_EQ(options.metrics->counter("store.dropped_segments")->Value(), 0u);
+
+  // A manifest-backed store whose listed segment is v1: manifest mode.
+  std::filesystem::remove_all(dir_);
+  {
+    std::unique_ptr<TripStore> stored = MakeStore(dir_);
+    ASSERT_TRUE(stored->Flush().ok());
+  }
+  std::filesystem::path victim;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir_)) {
+    if (entry.is_regular_file() && entry.path().extension() == ".tseg") {
+      victim = entry.path();
+      break;
+    }
+  }
+  ASSERT_FALSE(victim.empty());
+  {
+    std::ofstream out(victim, std::ofstream::binary | std::ofstream::trunc);
+    out << std::string("TSG1\x01\x00\x00", 7);
+  }
+  auto listed = TripStore::Open(options);
+  ASSERT_FALSE(listed.ok());
+  EXPECT_EQ(listed.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(options.metrics->counter("store.dropped_segments")->Value(), 0u);
+}
+
 TEST_F(StorePersistenceFixture, ScanFallbackRecoversFromTornManifest) {
   std::string reference;
   {
@@ -1046,7 +1135,7 @@ TEST_F(StorePersistenceFixture, CleansInterruptedCompactionLeftovers) {
   std::filesystem::path temp = part_dir / "segment-000008.tseg.tmp";
   {
     std::ofstream out(orphan, std::ofstream::binary);
-    out << EncodeSegmentV2(TrickyCorpus(), 0);
+    out << EncodeSegment(TrickyCorpus(), 0);
   }
   {
     std::ofstream out(temp, std::ofstream::binary);
