@@ -5,6 +5,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <map>
+#include <string>
 
 #include "bench_common.h"
 
@@ -18,28 +20,37 @@ struct Scores {
   double event = 0;
 };
 
-Scores Evaluate(const MallContext& ctx, const std::vector<bench::NoisyDevice>& fleet,
-                core::TranslatorOptions opt,
-                const std::vector<config::LabeledSegment>& training) {
-  core::Translator translator(ctx.dsm.get(), opt);
-  if (!translator.Init().ok()) std::abort();
-  if (!training.empty()) {
-    if (!translator.TrainEventModel(training).ok()) std::abort();
+/// Scores of one batch translation, with complementing (`complemented`) and
+/// without it (the annotation-only original_semantics of the same results).
+struct Evaluation {
+  Scores complemented;
+  Scores annotated;
+};
+
+Evaluation Evaluate(const MallContext& ctx, const std::vector<bench::NoisyDevice>& fleet,
+                    core::TranslatorOptions opt,
+                    const std::vector<config::LabeledSegment>& training) {
+  std::vector<core::TranslationResult> results = bench::TranslateBatch(
+      bench::MakeEngine(ctx, opt, training), bench::Raws(fleet));
+  // Results are sorted by device id: match them to ground truth by id.
+  std::map<std::string, const core::MobilitySemanticsSequence*> truth;
+  for (const bench::NoisyDevice& nd : fleet) {
+    truth[nd.raw.device_id] = &nd.truth.semantics;
   }
-  std::vector<positioning::PositioningSequence> raws;
-  for (const auto& nd : fleet) raws.push_back(nd.raw);
-  auto results = translator.TranslateAll(raws);
-  if (!results.ok()) std::abort();
-  Scores scores;
-  for (size_t i = 0; i < fleet.size(); ++i) {
-    core::SemanticsAgreement a =
-        core::CompareSemantics(fleet[i].truth.semantics, (*results)[i].semantics);
-    scores.region += a.region_match;
-    scores.event += a.event_match;
-  }
-  scores.region /= static_cast<double>(fleet.size());
-  scores.event /= static_cast<double>(fleet.size());
-  return scores;
+  auto score = [&](core::MobilitySemanticsSequence core::TranslationResult::*output) {
+    Scores scores;
+    for (const core::TranslationResult& r : results) {
+      core::SemanticsAgreement a =
+          core::CompareSemantics(*truth.at(r.semantics.device_id), r.*output);
+      scores.region += a.region_match;
+      scores.event += a.event_match;
+    }
+    scores.region /= static_cast<double>(fleet.size());
+    scores.event /= static_cast<double>(fleet.size());
+    return scores;
+  };
+  return {score(&core::TranslationResult::semantics),
+          score(&core::TranslationResult::original_semantics)};
 }
 
 std::vector<config::LabeledSegment> Training(const MallContext& ctx, int devices,
@@ -70,11 +81,11 @@ void ReportAblation() {
   std::printf("%10s %14s | %8s %8s\n", "cleaning", "complementing", "region%",
               "event%");
   for (bool clean : {false, true}) {
+    core::TranslatorOptions opt;
+    opt.enable_cleaning = clean;
+    Evaluation e = Evaluate(ctx, fleet, opt, training);
     for (bool complement : {false, true}) {
-      core::TranslatorOptions opt;
-      opt.enable_cleaning = clean;
-      opt.enable_complementing = complement;
-      Scores s = Evaluate(ctx, fleet, opt, training);
+      const Scores& s = complement ? e.complemented : e.annotated;
       std::printf("%10s %14s | %7.1f%% %7.1f%%\n", clean ? "on" : "off",
                   complement ? "on" : "off", s.region * 100, s.event * 100);
     }
@@ -83,8 +94,7 @@ void ReportAblation() {
   std::printf("\n=== Ablation: event model ===\n\n");
   std::printf("%-22s | %8s %8s\n", "model", "region%", "event%");
   {
-    core::TranslatorOptions opt;
-    Scores s = Evaluate(ctx, fleet, opt, {});
+    Scores s = Evaluate(ctx, fleet, {}, {}).complemented;
     std::printf("%-22s | %7.1f%% %7.1f%%\n", "rule_based(cold)", s.region * 100,
                 s.event * 100);
   }
@@ -93,7 +103,7 @@ void ReportAblation() {
         annotation::ModelKind::kLogisticRegression, annotation::ModelKind::kKnn}) {
     core::TranslatorOptions opt;
     opt.classifier.model = kind;
-    Scores s = Evaluate(ctx, fleet, opt, training);
+    Scores s = Evaluate(ctx, fleet, opt, training).complemented;
     std::printf("%-22s | %7.1f%% %7.1f%%\n", annotation::ModelKindName(kind),
                 s.region * 100, s.event * 100);
   }
@@ -103,7 +113,7 @@ void ReportAblation() {
   for (double eps : {1.5, 3.0, 5.0, 8.0}) {
     core::TranslatorOptions opt;
     opt.annotator.splitter.eps_space = eps;
-    Scores s = Evaluate(ctx, fleet, opt, training);
+    Scores s = Evaluate(ctx, fleet, opt, training).complemented;
     std::printf("%12.1f | %7.1f%% %7.1f%%\n", eps, s.region * 100, s.event * 100);
   }
 
@@ -112,30 +122,35 @@ void ReportAblation() {
   for (int window : {0, 3, 7, 15}) {
     core::TranslatorOptions opt;
     opt.cleaner.smoothing_window = static_cast<size_t>(window);
-    Scores s = Evaluate(ctx, fleet, opt, training);
+    Scores s = Evaluate(ctx, fleet, opt, training).complemented;
     std::printf("%12d | %7.1f%% %7.1f%%\n", window, s.region * 100, s.event * 100);
   }
   std::printf("\n");
 }
 
-// Timing counterpart: cost of each layer toggle combination.
+// Timing counterpart: cost of each layer combination. Without complementing
+// only the clean+annotate phase runs, sequence by sequence.
 void BM_AblationLayers(benchmark::State& state) {
   static MallContext ctx = MallContext::Make(7, 3);
   static auto fleet = bench::MakeFleet(ctx, 8, bench::DefaultNoise(7), 321);
   core::TranslatorOptions opt;
   opt.enable_cleaning = state.range(0) != 0;
-  opt.enable_complementing = state.range(1) != 0;
-  std::vector<positioning::PositioningSequence> raws;
-  for (const auto& nd : fleet) raws.push_back(nd.raw);
+  const bool complement = state.range(1) != 0;
+  std::shared_ptr<const core::Engine> engine = bench::MakeEngine(ctx, opt);
+  std::vector<positioning::PositioningSequence> raws = bench::Raws(fleet);
+  positioning::RecordBlock block;
   for (auto _ : state) {
-    core::Translator translator(ctx.dsm.get(), opt);
-    if (!translator.Init().ok()) std::abort();
-    auto results = translator.TranslateAll(raws);
-    if (!results.ok()) std::abort();
-    benchmark::DoNotOptimize(results);
+    if (complement) {
+      benchmark::DoNotOptimize(bench::TranslateBatch(engine, raws));
+      continue;
+    }
+    for (const positioning::PositioningSequence& raw : raws) {
+      block.AssignFrom(raw);
+      benchmark::DoNotOptimize(engine->CleanAndAnnotate(&block));
+    }
   }
   state.SetLabel(std::string(opt.enable_cleaning ? "clean" : "noclean") + "+" +
-                 (opt.enable_complementing ? "compl" : "nocompl"));
+                 (complement ? "compl" : "nocompl"));
 }
 BENCHMARK(BM_AblationLayers)
     ->Args({0, 0})

@@ -55,6 +55,45 @@ inline std::vector<NoisyDevice> MakeFleet(const MallContext& ctx, int count,
   return fleet;
 }
 
+/// The degraded observations of a fleet, in fleet order.
+inline std::vector<positioning::PositioningSequence> Raws(
+    const std::vector<NoisyDevice>& fleet) {
+  std::vector<positioning::PositioningSequence> raws;
+  raws.reserve(fleet.size());
+  for (const NoisyDevice& nd : fleet) raws.push_back(nd.raw);
+  return raws;
+}
+
+/// Builds an engine over the context's (borrowed) DSM, training its event
+/// model on `training` when given.
+inline std::shared_ptr<const core::Engine> MakeEngine(
+    const MallContext& ctx, core::TranslatorOptions options = {},
+    std::vector<config::LabeledSegment> training = {}) {
+  const bool train = !training.empty();
+  auto engine = core::Engine::Builder()
+                    .BorrowDsm(ctx.dsm.get())
+                    .SetOptions(options)
+                    .SetTrainingData(std::move(training))
+                    .Build();
+  if (!engine.ok()) std::abort();
+  if (train && !(*engine)->training_status().ok()) std::abort();
+  return std::move(engine).ValueOrDie();
+}
+
+/// Translates `raws` as one batch request on the calling thread. Results come
+/// back sorted by device id ("dev-10" < "dev-2"), not in input order.
+inline std::vector<core::TranslationResult> TranslateBatch(
+    std::shared_ptr<const core::Engine> engine,
+    std::vector<positioning::PositioningSequence> raws, bool learn_knowledge = true) {
+  core::ServiceOptions options;
+  options.worker_threads = 0;
+  core::Service service(std::move(engine), options);
+  auto response = service.Translate(
+      {.sequences = std::move(raws), .learn_knowledge = learn_knowledge});
+  if (!response.ok()) std::abort();
+  return std::move(response).ValueOrDie().results;
+}
+
 /// Default error model matched to the bench venue's floor count.
 inline positioning::ErrorModelOptions DefaultNoise(int floors) {
   positioning::ErrorModelOptions noise;

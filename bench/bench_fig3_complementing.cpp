@@ -17,22 +17,52 @@ using bench::MallContext;
 
 namespace {
 
+/// Mean region agreement of `output` (the final semantics, or the
+/// annotation-only original_semantics: complementing off) with ground truth,
+/// matching results to devices by id.
 double MeanRegionAgreement(const std::vector<bench::NoisyDevice>& fleet,
-                           const std::vector<core::TranslationResult>& results) {
+                           const std::vector<core::TranslationResult>& results,
+                           core::MobilitySemanticsSequence core::TranslationResult::*output =
+                               &core::TranslationResult::semantics) {
   double total = 0;
   int n = 0;
   for (const core::TranslationResult& r : results) {
     for (const bench::NoisyDevice& nd : fleet) {
       if (nd.truth.truth.device_id != r.semantics.device_id) continue;
-      total += core::CompareSemantics(nd.truth.semantics, r.semantics).region_match;
+      total += core::CompareSemantics(nd.truth.semantics, r.*output).region_match;
       ++n;
     }
   }
   return n > 0 ? total / n : 0;
 }
 
+/// The three arms of one fleet: no complementing (the annotation output),
+/// complementing with the uniform prior, and with knowledge learned from the
+/// fleet itself.
+struct Arms {
+  double off = 0;
+  double uniform = 0;
+  double learned = 0;
+  size_t inferred = 0;  // triplets inferred with learned knowledge
+};
+
+Arms TranslateArms(const std::shared_ptr<const core::Engine>& engine,
+                   const std::vector<bench::NoisyDevice>& fleet) {
+  std::vector<core::TranslationResult> uniform =
+      bench::TranslateBatch(engine, bench::Raws(fleet), /*learn_knowledge=*/false);
+  std::vector<core::TranslationResult> learned =
+      bench::TranslateBatch(engine, bench::Raws(fleet));
+  Arms arms;
+  arms.off = MeanRegionAgreement(fleet, uniform, &core::TranslationResult::original_semantics);
+  arms.uniform = MeanRegionAgreement(fleet, uniform);
+  arms.learned = MeanRegionAgreement(fleet, learned);
+  for (const auto& r : learned) arms.inferred += r.complement_report.triplets_inferred;
+  return arms;
+}
+
 void ReportGapRecovery() {
   MallContext ctx = MallContext::Make(7, 3);
+  std::shared_ptr<const core::Engine> engine = bench::MakeEngine(ctx);
   std::printf("=== Fig. 3 / Complementing: gap recovery ===\n\n");
   std::printf("%10s | %12s %12s %12s | %10s\n", "gaps/hour", "no_compl",
               "uniform", "learned", "inferred");
@@ -44,45 +74,10 @@ void ReportGapRecovery() {
     noise.gap_max = 8 * kMillisPerMinute;
     auto fleet = bench::MakeFleet(ctx, 16, noise,
                                   static_cast<uint64_t>(gaps_per_hour * 100));
-    std::vector<positioning::PositioningSequence> raws;
-    for (const auto& nd : fleet) raws.push_back(nd.raw);
-
-    // (i) no complementing.
-    core::TranslatorOptions off;
-    off.enable_complementing = false;
-    core::Translator t_off(ctx.dsm.get(), off);
-    if (!t_off.Init().ok()) std::abort();
-    auto r_off = t_off.TranslateAll(raws);
-    if (!r_off.ok()) std::abort();
-
-    // (ii) uniform prior: knowledge smoothing only (no observed transitions
-    // influence) — emulate by zero smoothing weight on observations via a
-    // fresh translator whose knowledge we overwrite with the uniform prior.
-    core::TranslatorOptions on;
-    core::Translator t_uniform(ctx.dsm.get(), on);
-    if (!t_uniform.Init().ok()) std::abort();
-    // Translate one by one so the uniform prior (installed by Init) is used
-    // instead of batch-learned knowledge.
-    std::vector<core::TranslationResult> r_uniform;
-    for (const auto& raw : raws) {
-      auto r = t_uniform.Translate(raw);
-      if (!r.ok()) std::abort();
-      r_uniform.push_back(std::move(r).ValueOrDie());
-    }
-
-    // (iii) learned knowledge from the batch.
-    core::Translator t_learned(ctx.dsm.get(), on);
-    if (!t_learned.Init().ok()) std::abort();
-    auto r_learned = t_learned.TranslateAll(raws);
-    if (!r_learned.ok()) std::abort();
-
-    size_t inferred = 0;
-    for (const auto& r : *r_learned) inferred += r.complement_report.triplets_inferred;
-
+    Arms arms = TranslateArms(engine, fleet);
     std::printf("%10.0f | %11.1f%% %11.1f%% %11.1f%% | %10zu\n", gaps_per_hour,
-                MeanRegionAgreement(fleet, *r_off) * 100,
-                MeanRegionAgreement(fleet, r_uniform) * 100,
-                MeanRegionAgreement(fleet, *r_learned) * 100, inferred);
+                arms.off * 100, arms.uniform * 100, arms.learned * 100,
+                arms.inferred);
   }
 
   // Popularity-skew sweep: the more concentrated the traffic, the more the
@@ -108,34 +103,9 @@ void ReportGapRecovery() {
       nd.raw = positioning::ApplyErrorModel(nd.truth.truth, noise, &rng);
       fleet.push_back(std::move(nd));
     }
-    std::vector<positioning::PositioningSequence> raws;
-    for (const auto& nd : fleet) raws.push_back(nd.raw);
-
-    core::TranslatorOptions off;
-    off.enable_complementing = false;
-    core::Translator t_off(ctx.dsm.get(), off);
-    if (!t_off.Init().ok()) std::abort();
-    auto r_off = t_off.TranslateAll(raws);
-    if (!r_off.ok()) std::abort();
-
-    core::Translator t_uniform(ctx.dsm.get());
-    if (!t_uniform.Init().ok()) std::abort();
-    std::vector<core::TranslationResult> r_uniform;
-    for (const auto& raw : raws) {
-      auto r = t_uniform.Translate(raw);
-      if (!r.ok()) std::abort();
-      r_uniform.push_back(std::move(r).ValueOrDie());
-    }
-
-    core::Translator t_learned(ctx.dsm.get());
-    if (!t_learned.Init().ok()) std::abort();
-    auto r_learned = t_learned.TranslateAll(raws);
-    if (!r_learned.ok()) std::abort();
-
-    std::printf("%10.1f | %11.1f%% %11.1f%% %11.1f%%\n", skew,
-                MeanRegionAgreement(fleet, *r_off) * 100,
-                MeanRegionAgreement(fleet, r_uniform) * 100,
-                MeanRegionAgreement(fleet, *r_learned) * 100);
+    Arms arms = TranslateArms(engine, fleet);
+    std::printf("%10.1f | %11.1f%% %11.1f%% %11.1f%%\n", skew, arms.off * 100,
+                arms.uniform * 100, arms.learned * 100);
   }
 
   // Knowledge-corpus-size ablation.
@@ -144,14 +114,9 @@ void ReportGapRecovery() {
   for (int devices : {2, 8, 32, 64}) {
     auto fleet = bench::MakeFleet(ctx, devices, bench::DefaultNoise(7),
                                   static_cast<uint64_t>(devices));
-    complement::KnowledgeBuilder builder(ctx.dsm.get());
-    core::Translator t(ctx.dsm.get());
-    if (!t.Init().ok()) std::abort();
-    std::vector<positioning::PositioningSequence> raws;
-    for (const auto& nd : fleet) raws.push_back(nd.raw);
-    auto results = t.TranslateAll(raws);
-    if (!results.ok()) std::abort();
-    std::printf("%10d %14zu\n", devices, t.knowledge().observed_transitions);
+    complement::MobilityKnowledge learned =
+        engine->BuildKnowledge(bench::TranslateBatch(engine, bench::Raws(fleet)));
+    std::printf("%10d %14zu\n", devices, learned.observed_transitions);
   }
   std::printf("\n");
 }
@@ -160,13 +125,10 @@ void BM_KnowledgeBuild(benchmark::State& state) {
   static MallContext ctx = MallContext::Make(7, 3);
   static auto fleet = bench::MakeFleet(ctx, 16, bench::DefaultNoise(7), 131);
   static std::vector<core::MobilitySemanticsSequence> annotated = [] {
-    core::Translator t(ctx.dsm.get());
-    if (!t.Init().ok()) std::abort();
+    std::shared_ptr<const core::Engine> engine = bench::MakeEngine(ctx);
     std::vector<core::MobilitySemanticsSequence> out;
     for (const auto& nd : fleet) {
-      auto r = t.Translate(nd.raw);
-      if (!r.ok()) std::abort();
-      out.push_back(r->original_semantics);
+      out.push_back(engine->Translate(nd.raw).original_semantics);
     }
     return out;
   }();
@@ -197,16 +159,13 @@ const LearnedGaps& FleetGaps() {
   static LearnedGaps gaps = [] {
     const MallContext& ctx = InferContext();
     auto fleet = bench::MakeFleet(ctx, 64, bench::DefaultNoise(7), 64);
-    std::vector<positioning::PositioningSequence> raws;
-    for (const auto& nd : fleet) raws.push_back(nd.raw);
-    core::Translator t(ctx.dsm.get());
-    if (!t.Init().ok()) std::abort();
-    auto results = t.TranslateAll(raws);
-    if (!results.ok()) std::abort();
+    std::shared_ptr<const core::Engine> engine = bench::MakeEngine(ctx);
+    std::vector<core::TranslationResult> results =
+        bench::TranslateBatch(engine, bench::Raws(fleet));
     LearnedGaps out;
-    out.knowledge = t.knowledge();
-    const complement::ComplementorOptions opt = t.options().complementor;
-    for (const core::TranslationResult& r : *results) {
+    out.knowledge = engine->BuildKnowledge(results);
+    const complement::ComplementorOptions opt = engine->options().complementor;
+    for (const core::TranslationResult& r : results) {
       const auto& sem = r.original_semantics.semantics;
       for (size_t i = 0; i + 1 < sem.size(); ++i) {
         if (sem[i + 1].range.begin - sem[i].range.end < opt.min_gap) continue;

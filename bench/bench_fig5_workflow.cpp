@@ -27,12 +27,10 @@ void ReportWorkflow() {
     size_t records = 0;
     for (const auto& nd : fleet) records += nd.raw.records.size();
 
-    // Layer-by-layer timing (mirrors Translator::TranslateAll).
-    core::TranslatorOptions opt;
-    core::Translator translator(ctx.dsm.get(), opt);
-    if (!translator.Init().ok()) std::abort();
-
-    cleaning::RawDataCleaner cleaner(ctx.dsm.get(), translator.planner(),
+    // Layer-by-layer timing (mirrors a batch request's three phases).
+    std::shared_ptr<const core::Engine> engine = bench::MakeEngine(ctx);
+    const core::TranslatorOptions& opt = engine->options();
+    cleaning::RawDataCleaner cleaner(ctx.dsm.get(), &engine->planner(),
                                      opt.cleaner);
     // Step (3): designate training segments from a handful of devices'
     // ground truth (the Event Editor interaction) and train the identifier.
@@ -97,18 +95,13 @@ void BM_FullPipeline(benchmark::State& state) {
   int devices = static_cast<int>(state.range(0));
   auto fleet = bench::MakeFleet(ctx, devices, bench::DefaultNoise(7),
                                 static_cast<uint64_t>(devices) * 13);
-  std::vector<positioning::PositioningSequence> raws;
+  std::vector<positioning::PositioningSequence> raws = bench::Raws(fleet);
   size_t records = 0;
-  for (const auto& nd : fleet) {
-    raws.push_back(nd.raw);
-    records += nd.raw.records.size();
-  }
+  for (const auto& nd : fleet) records += nd.raw.records.size();
   size_t processed = 0;
   for (auto _ : state) {
-    core::Translator translator(ctx.dsm.get());
-    if (!translator.Init().ok()) std::abort();
-    auto results = translator.TranslateAll(raws);
-    if (!results.ok()) std::abort();
+    // Engine build included: planner, baseline knowledge, then the batch.
+    auto results = bench::TranslateBatch(bench::MakeEngine(ctx), raws);
     benchmark::DoNotOptimize(results);
     processed += records;
   }

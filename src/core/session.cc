@@ -225,8 +225,8 @@ Result<std::vector<TranslationResult>> StreamSession::TranslateAndDeliver(
   for (PoppedBuffer& popped_buffer : popped) {
     positioning::RecordBlock& block = popped_buffer.block;
     size_t flushed_records = block.Size();
-    TranslationResult result = engine_->TranslateBlockWith(
-        &block, engine_->complementor(), pool_, &stages_);
+    TranslationResult result = engine_->CleanAndAnnotate(&block, pool_, &stages_);
+    engine_->Complement(&result, engine_->complementor(), &stages_);
     result.trace.ingest_steady_ns = popped_buffer.ingest_ns;
     if (stream_metrics_.flushes != nullptr) stream_metrics_.flushes->Add(1);
     if (stream_metrics_.flush_records != nullptr) {
@@ -307,22 +307,15 @@ Result<std::vector<TranslationResult>> StreamSession::Poll(TimestampMs now) {
 
 Result<std::vector<TranslationResult>> StreamSession::FlushAll() {
   // End-of-stream drain: unlike the age-based Poll flush, every remainder is
-  // translated, however short — dropping here would silently lose the tail of
-  // any sequence shorter than min_flush_records (stream output must stay
-  // byte-identical to translating the same sequences as a batch). The old
-  // dropping behaviour stays available behind drop_small_on_final_flush.
-  const size_t min_records =
-      options_.drop_small_on_final_flush ? options_.min_flush_records : 1;
+  // translated, however short (stream output must stay byte-identical to
+  // translating the same sequences as a batch). Buffers are created by the
+  // record that fills them, so none is empty.
   std::vector<PoppedBuffer> popped;
   for (BufferShard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     for (auto& [device, buffer] : shard.buffers) {
       TrackBuffered(shard, -static_cast<int64_t>(buffer.block.Size()));
-      if (buffer.block.Size() >= min_records) {
-        popped.push_back(PoppedBuffer{std::move(buffer.block), buffer.ingest_ns});
-      } else if (stream_metrics_.dropped_small_buffers != nullptr) {
-        stream_metrics_.dropped_small_buffers->Add(1);
-      }
+      popped.push_back(PoppedBuffer{std::move(buffer.block), buffer.ingest_ns});
     }
     shard.buffers.clear();
   }

@@ -49,10 +49,10 @@ struct TranslationResponse {
   size_t workers_used = 1;
 };
 
-/// Batch translation over a shared engine. Equivalent to
-/// Translator::TranslateAll, with the per-sequence phases (clean+annotate,
-/// complement) fanned out over the service's thread pool and the session
-/// holding the learned knowledge between requests.
+/// Batch translation over a shared engine: cleans and annotates every
+/// sequence, builds mobility knowledge from all annotated sequences, then
+/// complements each — the per-sequence phases fanned out over the service's
+/// thread pool, the session holding the learned knowledge between requests.
 class BatchSession {
  public:
   /// `pool` must outlive the session (both normally owned by the Service).
@@ -99,14 +99,10 @@ struct StreamOptions {
   size_t max_buffer_records = 20'000;
   /// Buffers smaller than this are dropped, not translated, when an age-based
   /// flush pops them (Poll deciding a device has departed — a couple of stray
-  /// fixes carry no semantics). A final/explicit FlushAll translates every
-  /// remainder regardless, unless drop_small_on_final_flush opts back in.
+  /// fixes carry no semantics); each drop counts in
+  /// stream.dropped_small_buffers. A final/explicit FlushAll translates every
+  /// remainder regardless.
   size_t min_flush_records = 4;
-  /// Apply the min_flush_records drop at FlushAll time too. Off by default:
-  /// FlushAll is the end-of-stream drain, and dropping there silently loses
-  /// the tail records of every short trailing sequence (stream output would
-  /// no longer match translating the same sequences as a batch).
-  bool drop_small_on_final_flush = false;
   /// Device-hash sub-maps the ingest buffers are split into, each with its
   /// own mutex, so concurrent ingest threads touching different devices never
   /// contend on one lock. 0 behaves as 1 (a single map). Flush output is
@@ -173,7 +169,8 @@ class StreamSession {
 
   /// Flushes everything regardless of idleness (end of stream), in device-id
   /// order. Translates every remainder, even buffers shorter than
-  /// min_flush_records (see StreamOptions::drop_small_on_final_flush).
+  /// min_flush_records: dropping here would silently lose the tail of every
+  /// short trailing sequence.
   Result<std::vector<TranslationResult>> FlushAll();
 
   /// Devices currently buffered.

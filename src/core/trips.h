@@ -16,7 +16,7 @@
 //                   device history and merged city-wide analytics
 //   Configurator  — config::DataSelector, config::SpaceModeler,
 //                   config::EventEditor
-//   Translator    — core::Translator, the three-layer algorithm core
+//   Translator    — core::Engine, the three-layer algorithm core
 //                   (cleaning::RawDataCleaner, annotation::Annotator,
 //                   complement::Complementor). The hot path is columnar:
 //                   positioning::RecordBlock (SoA columns + validity bitmap)
@@ -92,7 +92,6 @@
 #include "core/semantics.h"
 #include "core/service.h"
 #include "core/session.h"
-#include "core/translator.h"
 #include "dsm/dsm.h"
 #include "dsm/dsm_json.h"
 #include "dsm/routing.h"

@@ -924,22 +924,16 @@ void RoutePlanner::set_contraction_enabled(bool enabled) {
   ClearCache();
 }
 
-size_t RoutePlanner::cache_hits() const {
-  return cache_ != nullptr ? cache_->hits.load(std::memory_order_relaxed) : 0;
-}
-
-size_t RoutePlanner::cache_misses() const {
-  return cache_ != nullptr ? cache_->misses.load(std::memory_order_relaxed) : 0;
-}
-
-size_t RoutePlanner::cache_evictions() const {
-  return cache_ != nullptr ? cache_->evictions.load(std::memory_order_relaxed)
-                           : 0;
-}
-
-size_t RoutePlanner::cache_size() const {
-  if (cache_ == nullptr) return 0;
-  return cache_->flat.Size() + cache_->portal.Size();
+RoutingCacheStats RoutePlanner::cache_stats() const {
+  RoutingCacheStats stats;
+  stats.nodes = NodeCount();
+  stats.portals = PortalCount();
+  if (cache_ == nullptr) return stats;
+  stats.hits = cache_->hits.load(std::memory_order_relaxed);
+  stats.misses = cache_->misses.load(std::memory_order_relaxed);
+  stats.evictions = cache_->evictions.load(std::memory_order_relaxed);
+  stats.size = cache_->flat.Size() + cache_->portal.Size();
+  return stats;
 }
 
 void RoutePlanner::ClearCache() const {

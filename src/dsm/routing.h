@@ -95,6 +95,19 @@ struct Route {
   geo::IndoorPoint PointAtDistance(double d) const;
 };
 
+/// One read of the route planner's memoization cache plus the static graph
+/// sizes. Each counter is read atomically but the struct as a whole is not one
+/// atomic snapshot (concurrent queries may land between reads) — fine for
+/// monitoring, and exact at quiescence.
+struct RoutingCacheStats {
+  size_t hits = 0;
+  size_t misses = 0;
+  size_t evictions = 0;  ///< trees dropped by the LRU bound since ClearCache
+  size_t size = 0;       ///< memoized trees currently held
+  size_t nodes = 0;      ///< static routing graph nodes
+  size_t portals = 0;    ///< portal nodes surviving contraction
+};
+
 /// Plans shortest walkable paths between indoor points. Builds a static node
 /// graph (doors + overlap portals + vertical connectors) from the DSM once,
 /// contracts it to the portal-to-portal shortcut graph, then answers queries
@@ -155,12 +168,8 @@ class RoutePlanner {
   /// Directed shortcut-edge count of the contracted portal graph.
   size_t ContractedEdgeCount() const { return portal_adjacency_.size(); }
 
-  // Cache observability (tests / benches / obs callback gauges).
-  size_t cache_hits() const;
-  size_t cache_misses() const;
-  /// Trees dropped by the LRU capacity bound since the last ClearCache.
-  size_t cache_evictions() const;
-  size_t cache_size() const;
+  /// Cache observability (tests / benches / obs callback gauges).
+  RoutingCacheStats cache_stats() const;
   /// Drops every memoized tree and resets the hit/miss counters, so
   /// observability starts from a clean slate (benchmark phases, tests).
   void ClearCache() const;

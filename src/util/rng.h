@@ -31,9 +31,11 @@ class Rng {
   }
 
   /// Normal (Gaussian) sample with the given mean and standard deviation.
+  /// Scales a standard-normal draw, so stddev 0 returns `mean` exactly (a
+  /// normal_distribution with stddev 0 violates its precondition).
   double Gaussian(double mean, double stddev) {
-    std::normal_distribution<double> d(mean, stddev);
-    return d(engine_);
+    std::normal_distribution<double> d(0.0, 1.0);
+    return mean + stddev * d(engine_);
   }
 
   /// Bernoulli trial: true with probability p (p clamped to [0,1]).

@@ -11,6 +11,7 @@
 #include "dsm/sample_spaces.h"
 #include "mobility/generator.h"
 #include "positioning/error_model.h"
+#include "testing/reference_translate.h"
 
 namespace trips::core {
 namespace {
@@ -67,6 +68,8 @@ TEST_F(EngineFixture, BorrowedDsmMustHaveTopology) {
   dsm::Dsm raw;  // topology not computed
   auto engine = Engine::Builder().BorrowDsm(&raw).Build();
   EXPECT_EQ(engine.status().code(), StatusCode::kFailedPrecondition);
+  auto shared = Engine::Builder().ShareDsm(std::make_shared<const dsm::Dsm>()).Build();
+  EXPECT_EQ(shared.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST_F(EngineFixture, OwnedDsmGetsTopologyComputed) {
@@ -75,7 +78,6 @@ TEST_F(EngineFixture, OwnedDsmGetsTopologyComputed) {
   auto engine = Engine::Builder().SetDsm(std::move(mall).ValueOrDie()).Build();
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_TRUE((*engine)->dsm().topology_computed());
-  EXPECT_NE((*engine)->translator(), nullptr);
   EXPECT_TRUE((*engine)->training_status().ok());
   EXPECT_FALSE((*engine)->classifier().trained());
 }
@@ -123,18 +125,28 @@ TEST_F(EngineFixture, TrainsEventModelAtBuild) {
   EXPECT_TRUE((*engine)->classifier().trained());
 }
 
+// Engine::Translate equals the sequential layer-by-layer oracle with the
+// engine's baseline (uniform) knowledge and its trained classifier.
 TEST_F(EngineFixture, TranslateMatchesTranslator) {
-  auto engine = Engine::Builder().BorrowDsm(mall_.get()).Build();
+  auto engine = Engine::Builder()
+                    .BorrowDsm(mall_.get())
+                    .SetTrainingData(MakeTraining(4, 23))
+                    .Build();
   ASSERT_TRUE(engine.ok());
-  Translator reference(mall_.get());
-  ASSERT_TRUE(reference.Init().ok());
+  ASSERT_TRUE((*engine)->classifier().trained());
 
   positioning::PositioningSequence seq = MakeNoisy("m1", 21);
   TranslationResult via_engine = (*engine)->Translate(seq);
-  auto via_translator = reference.Translate(seq);
-  ASSERT_TRUE(via_translator.ok());
+  auto expected = reference::TranslateAll(*mall_, {seq}, (*engine)->options(),
+                                          &(*engine)->classifier(),
+                                          /*learn_knowledge=*/false);
+  ASSERT_TRUE(expected.ok());
+  const TranslationResult& via_reference = (*expected)[0];
+  EXPECT_EQ(via_engine.cleaned.records, via_reference.cleaned.records);
+  EXPECT_EQ(SemanticsToJson(via_engine.original_semantics).Dump(),
+            SemanticsToJson(via_reference.original_semantics).Dump());
   EXPECT_EQ(SemanticsToJson(via_engine.semantics).Dump(),
-            SemanticsToJson(via_translator->semantics).Dump());
+            SemanticsToJson(via_reference.semantics).Dump());
 }
 
 TEST_F(EngineFixture, SharedEngineTranslatesConcurrently) {

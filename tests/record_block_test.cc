@@ -15,6 +15,7 @@
 #include "dsm/sample_spaces.h"
 #include "positioning/error_model.h"
 #include "positioning/record_block.h"
+#include "testing/reference_translate.h"
 #include "util/rng.h"
 
 namespace trips {
@@ -248,7 +249,7 @@ TEST_F(RecordBlockFixture, AnnotationLayerColumnarParity) {
 
 // Full-pipeline byte-identity: the Service's batch output must not depend on
 // the worker count (inter-sequence fan-out AND intra-sequence parallel
-// cleaning), and must equal the single-threaded Translator::TranslateAll.
+// cleaning), and must equal the sequential layer-by-layer oracle.
 TEST_F(RecordBlockFixture, ServiceOutputIdenticalAcrossWorkerCounts) {
   auto mall = dsm::BuildMallDsm({.floors = 3, .shops_per_arm = 2});
   ASSERT_TRUE(mall.ok());
@@ -288,21 +289,19 @@ TEST_F(RecordBlockFixture, ServiceOutputIdenticalAcrossWorkerCounts) {
     }
   }
 
-  // The stateful Translator front-end (same options, same DSM) must agree.
-  core::Translator translator(&engine.ValueOrDie()->dsm(), options);
-  ASSERT_TRUE(translator.Init().ok());
-  auto all = translator.TranslateAll(fleet);
+  // The sequential oracle (same options, same DSM) must agree.
+  auto all = core::reference::TranslateAll(engine.ValueOrDie()->dsm(), fleet, options);
   ASSERT_TRUE(all.ok());
-  std::vector<core::TranslationResult> legacy = std::move(all).ValueOrDie();
-  std::stable_sort(legacy.begin(), legacy.end(),
+  std::vector<core::TranslationResult> expected = std::move(all).ValueOrDie();
+  std::stable_sort(expected.begin(), expected.end(),
                    [](const core::TranslationResult& a,
                       const core::TranslationResult& b) {
                      return a.semantics.device_id < b.semantics.device_id;
                    });
-  ASSERT_EQ(legacy.size(), baseline.size());
-  for (size_t i = 0; i < legacy.size(); ++i) {
-    ExpectSameRecords(legacy[i].cleaned, baseline[i].cleaned);
-    EXPECT_EQ(legacy[i].semantics.semantics, baseline[i].semantics.semantics);
+  ASSERT_EQ(expected.size(), baseline.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    ExpectSameRecords(expected[i].cleaned, baseline[i].cleaned);
+    EXPECT_EQ(expected[i].semantics.semantics, baseline[i].semantics.semantics);
   }
 }
 

@@ -213,8 +213,8 @@ TEST(RoutingContractionTest, CachedUncachedAndModeSplitsAllAgree) {
       EXPECT_NEAR(h, m, 1e-9 * (1 + std::abs(h)));
     }
   }
-  EXPECT_GT(cached->cache_hits() + cached->cache_misses(), 0u);
-  EXPECT_EQ(uncached->cache_size(), 0u);
+  EXPECT_GT(cached->cache_stats().hits + cached->cache_stats().misses, 0u);
+  EXPECT_EQ(uncached->cache_stats().size, 0u);
 }
 
 TEST(RoutingContractionTest, RuntimeToggleMatchesFlatAndRestores) {
@@ -232,7 +232,7 @@ TEST(RoutingContractionTest, RuntimeToggleMatchesFlatAndRestores) {
   }
   planner->set_contraction_enabled(false);
   EXPECT_FALSE(planner->contraction_enabled());
-  EXPECT_EQ(planner->cache_size(), 0u);  // toggle drops memoized trees
+  EXPECT_EQ(planner->cache_stats().size, 0u);  // toggle drops memoized trees
   for (size_t i = 0; i < pairs.size(); ++i) {
     double flat = planner->IndoorDistance(pairs[i].first, pairs[i].second);
     double reference = planner->IndoorDistanceFlat(pairs[i].first, pairs[i].second);

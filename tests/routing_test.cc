@@ -160,17 +160,17 @@ TEST_F(RoutingFixture, ClearCacheResetsStatsAndEntries) {
   geo::IndoorPoint a{5, 45, 0}, b{65, 10, 2};
   double before = planner_->IndoorDistance(a, b);
   for (int i = 0; i < 4; ++i) planner_->IndoorDistance(a, b);
-  EXPECT_GT(planner_->cache_size(), 0u);
-  EXPECT_GT(planner_->cache_hits() + planner_->cache_misses(), 0u);
+  EXPECT_GT(planner_->cache_stats().size, 0u);
+  EXPECT_GT(planner_->cache_stats().hits + planner_->cache_stats().misses, 0u);
 
   planner_->ClearCache();
-  EXPECT_EQ(planner_->cache_size(), 0u);
-  EXPECT_EQ(planner_->cache_hits(), 0u);
-  EXPECT_EQ(planner_->cache_misses(), 0u);
+  EXPECT_EQ(planner_->cache_stats().size, 0u);
+  EXPECT_EQ(planner_->cache_stats().hits, 0u);
+  EXPECT_EQ(planner_->cache_stats().misses, 0u);
 
   // Queries after the reset recompute and return identical results.
   EXPECT_EQ(planner_->IndoorDistance(a, b), before);
-  EXPECT_GT(planner_->cache_misses(), 0u);
+  EXPECT_GT(planner_->cache_stats().misses, 0u);
 }
 
 // The shared random venues stay routable: every pair of walkable points on

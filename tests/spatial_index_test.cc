@@ -179,9 +179,9 @@ TEST_F(RoutingCacheParityFixture, CachedDistancesEqualUncachedDijkstra) {
     }
     EXPECT_EQ(cached_->Reachable(a, b), uncached_->Reachable(a, b));
   }
-  EXPECT_GT(cached_->cache_hits() + cached_->cache_misses(), 0u);
-  EXPECT_EQ(uncached_->cache_hits(), 0u);
-  EXPECT_EQ(uncached_->cache_size(), 0u);
+  EXPECT_GT(cached_->cache_stats().hits + cached_->cache_stats().misses, 0u);
+  EXPECT_EQ(uncached_->cache_stats().hits, 0u);
+  EXPECT_EQ(uncached_->cache_stats().size, 0u);
 }
 
 TEST_F(RoutingCacheParityFixture, CachedRoutesAreByteIdenticalToUncached) {
@@ -214,14 +214,14 @@ TEST_F(RoutingCacheParityFixture, TinyCacheEvictsButStaysCorrect) {
       EXPECT_EQ(a, b);
     }
   }
-  EXPECT_LE(tiny->cache_size(), 2u);
+  EXPECT_LE(tiny->cache_stats().size, 2u);
 }
 
 TEST_F(RoutingCacheParityFixture, CacheHitsAccumulateOnRepeatQueries) {
   geo::IndoorPoint a{5, 45, 0}, b{65, 10, 2};
   for (int i = 0; i < 8; ++i) cached_->IndoorDistance(a, b);
-  EXPECT_GT(cached_->cache_hits(), 0u);
-  EXPECT_GT(cached_->cache_size(), 0u);
+  EXPECT_GT(cached_->cache_stats().hits, 0u);
+  EXPECT_GT(cached_->cache_stats().size, 0u);
 }
 
 TEST_F(RoutingCacheParityFixture, BatchDistancesMatchSingleQueries) {

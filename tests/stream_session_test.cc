@@ -136,19 +136,6 @@ TEST_F(OnlineFixture, TinyBuffersTranslatedAtFinalFlush) {
   EXPECT_EQ(online->PendingDevices(), 0u);
 }
 
-TEST_F(OnlineFixture, TinyBuffersDroppedWhenOptedBackIn) {
-  StreamOptions opt;
-  opt.drop_small_on_final_flush = true;  // the pre-fix behavior, on request
-  auto online = service_->NewStreamSession(opt);
-  ASSERT_TRUE(online->Ingest("stray", {50, 30, 0, 1000}).ok());
-  ASSERT_TRUE(online->Ingest("stray", {50, 31, 0, 4000}).ok());
-  auto results = online->FlushAll();
-  ASSERT_TRUE(results.ok());
-  EXPECT_TRUE(results->empty());
-  EXPECT_EQ(online->EmittedCount(), 0u);
-  EXPECT_EQ(online->PendingDevices(), 0u);
-}
-
 TEST_F(OnlineFixture, OnlineMatchesBatchTranslation) {
   positioning::PositioningSequence seq = GenerateTruth("same", 5);
   // Batch, with the engine's baseline knowledge (what stream sessions use).

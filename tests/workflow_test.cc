@@ -129,7 +129,7 @@ TEST_F(PipelineFixture, TrainingDataFlowsIntoTranslator) {
                     .Build();
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_TRUE((*engine)->training_status().ok());
-  EXPECT_TRUE((*engine)->translator()->classifier().trained());
+  EXPECT_TRUE((*engine)->classifier().trained());
 
   Service service(*engine);
   auto response = service.Translate({.sequences = *selected});
