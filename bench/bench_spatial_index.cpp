@@ -2,7 +2,8 @@
 // scans it replaced, memoized routing vs uncached Dijkstra, and the batch
 // distance API — each at 1x / 4x / 16x venue scale (shops_per_arm 3 / 12 / 48
 // over the 7-floor mall), the scaling axis where the old linear scans fall
-// over. Run through bench/run_benches.sh to capture BENCH_spatial.json.
+// over — plus the point-in-polygon test under all of them. Run through
+// bench/run_benches.sh to capture BENCH_spatial.json.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -147,6 +148,51 @@ void BM_SnapToWalkable_BruteForce(benchmark::State& state) {
   SetEntityCounter(state, *ctx.dsm);
 }
 BENCHMARK(BM_SnapToWalkable_BruteForce)->Arg(1)->Arg(4)->Arg(16);
+
+// ---- polygon containment ----------------------------------------------------
+
+// Polygon::Contains on the 1x mall's semantic regions, one probe mix per
+// argument: 0 = inside (interior points), 1 = outside (in the region's
+// bounding box grown by 2 m, not in the polygon), 2 = near the boundary (on
+// an edge, jittered by up to 3e-7 m, so about half are inside only through
+// the 1e-7 boundary tolerance).
+void BM_PolygonContains(benchmark::State& state) {
+  const int mix = static_cast<int>(state.range(0));
+  const std::vector<dsm::SemanticRegion>& regions = ContextFor(1).dsm->regions();
+  Rng rng(15);
+  std::vector<std::pair<const geo::Polygon*, geo::Point2>> probes;
+  size_t vertices = 0;
+  while (probes.size() < 1024) {
+    const geo::Polygon& poly =
+        regions[static_cast<size_t>(rng.UniformInt(0, regions.size() - 1))].shape;
+    const size_t n = poly.vertices.size();
+    if (n < 3) continue;
+    geo::Point2 p;
+    if (mix == 2) {
+      const size_t e = static_cast<size_t>(rng.UniformInt(0, n - 1));
+      const geo::Point2 a = poly.vertices[e];
+      const geo::Point2 b = poly.vertices[(e + 1) % n];
+      p = a + (b - a) * rng.Uniform(0, 1);
+      p = {p.x + rng.Uniform(-3e-7, 3e-7), p.y + rng.Uniform(-3e-7, 3e-7)};
+    } else {
+      const geo::BoundingBox box = poly.Bounds();
+      p = {rng.Uniform(box.min.x - 2, box.max.x + 2),
+           rng.Uniform(box.min.y - 2, box.max.y + 2)};
+      if (poly.Contains(p) != (mix == 0)) continue;
+    }
+    probes.emplace_back(&poly, p);
+    vertices += n;
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const auto& [poly, p] = probes[i++ % probes.size()];
+    benchmark::DoNotOptimize(poly->Contains(p));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["vertices"] =
+      static_cast<double>(vertices) / static_cast<double>(probes.size());
+}
+BENCHMARK(BM_PolygonContains)->ArgName("mix")->Arg(0)->Arg(1)->Arg(2);
 
 // ---- routing ----------------------------------------------------------------
 

@@ -1,5 +1,6 @@
 #include "annotation/splitter.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -32,11 +33,14 @@ double SquaredRadiusLimit(double eps) {
   return lim;
 }
 
-/// Reused per-thread working set: cluster labels, the neighbour list of the
-/// point being expanded, and the cluster frontier. Capacity only grows, so
-/// a worker's steady state splits without allocating.
+/// Reused per-thread working set: cluster labels, every record's eps_time
+/// window [lo, hi), the neighbour list of the point being expanded, and the
+/// cluster frontier. Capacity only grows, so a worker's steady state splits
+/// without allocating.
 struct SplitScratch {
   std::vector<int32_t> label;
+  std::vector<uint32_t> lo;
+  std::vector<uint32_t> hi;
   std::vector<uint32_t> neighbours;
   std::vector<uint32_t> frontier;
 };
@@ -47,28 +51,25 @@ thread_local SplitScratch scratch;
 class DensitySplitter {
  public:
   DensitySplitter(const RecordBlock& block, const SplitterOptions& options)
-      : t_(block.timestamps.data()),
-        x_(block.xs.data()),
+      : x_(block.xs.data()),
         y_(block.ys.data()),
         floor_(block.floors.data()),
         n_(block.Size()),
-        eps_time_(options.eps_time),
         lim_(SquaredRadiusLimit(options.eps_space)),
-        nb_(scratch.neighbours.data()) {}
+        lo_(scratch.lo.data()),
+        hi_(scratch.hi.data()),
+        nb_(scratch.neighbours.data()) {
+    TimeWindows(block.timestamps.data(), options.eps_time);
+  }
 
   /// Spatio-temporal neighbours of record i (self excluded) into nb_,
   /// backward scan first, then forward — the order the frontier sees them.
   /// Returns their count.
   size_t Neighbours(size_t i) const {
-    const TimestampMs ti = t_[i];
-    // The time window first: records are time-sorted, and each scan stops at
-    // the first record outside eps_time, as the per-record scan did.
-    size_t lo = i;
-    while (lo > 0 && ti - t_[lo - 1] <= eps_time_) --lo;
-    size_t hi = i + 1;
-    while (hi < n_ && t_[hi] - ti <= eps_time_) ++hi;
-    // Then a branchless compaction over the window: every index is written,
-    // and the cursor advances only past the ones that qualify.
+    // A branchless compaction over the record's time window: every index is
+    // written, and the cursor advances only past the ones that qualify.
+    const size_t lo = lo_[i];
+    const size_t hi = hi_[i];
     const double xi = x_[i];
     const double yi = y_[i];
     const geo::FloorId fi = floor_[i];
@@ -118,14 +119,42 @@ class DensitySplitter {
   }
 
  private:
-  const TimestampMs* t_;
   const double* x_;
   const double* y_;
   const geo::FloorId* floor_;
   size_t n_;
-  DurationMs eps_time_;
   double lim_;
+  uint32_t* lo_;
+  uint32_t* hi_;
   uint32_t* nb_;
+
+  // Every record's time window [lo, hi): the records around i that a scan
+  // outward from i reaches before its first record more than eps_time away
+  // (lo <= i < hi, so an eps_time <= 0 still keeps the record itself). On
+  // time-sorted records both edges only move forward, so one sweep finds
+  // them all; out-of-order records fall back to the per-record scans.
+  void TimeWindows(const TimestampMs* t, DurationMs eps_time) {
+    if (std::is_sorted(t, t + n_)) {
+      size_t lo = 0;
+      size_t hi = 0;
+      for (size_t i = 0; i < n_; ++i) {
+        while (lo < i && t[i] - t[lo] > eps_time) ++lo;
+        if (hi <= i) hi = i + 1;
+        while (hi < n_ && t[hi] - t[i] <= eps_time) ++hi;
+        lo_[i] = static_cast<uint32_t>(lo);
+        hi_[i] = static_cast<uint32_t>(hi);
+      }
+      return;
+    }
+    for (size_t i = 0; i < n_; ++i) {
+      size_t lo = i;
+      while (lo > 0 && t[i] - t[lo - 1] <= eps_time) --lo;
+      size_t hi = i + 1;
+      while (hi < n_ && t[hi] - t[i] <= eps_time) ++hi;
+      lo_[i] = static_cast<uint32_t>(lo);
+      hi_[i] = static_cast<uint32_t>(hi);
+    }
+  }
 
   // Pushes the first `count` entries of nb_ that are unvisited; claims the
   // noise ones as border points.
@@ -153,7 +182,11 @@ std::vector<Snippet> SplitSequence(const RecordBlock& block,
 
   std::vector<int32_t>& label = scratch.label;
   label.assign(n, kUnvisited);
-  if (scratch.neighbours.size() < n) scratch.neighbours.resize(n);
+  if (scratch.neighbours.size() < n) {
+    scratch.neighbours.resize(n);
+    scratch.lo.resize(n);
+    scratch.hi.resize(n);
+  }
   DensitySplitter(block, options).Cluster(options.min_pts, label.data());
 
   // Maximal time-contiguous runs of equal label become snippets.

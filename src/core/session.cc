@@ -137,7 +137,7 @@ void StreamSession::WireMetrics() {
   stream_metrics_.ingest_to_result_ns =
       metrics_->histogram("stream.ingest_to_result_ns");
   for (size_t i = 0; i < shards_.size(); ++i) {
-    char name[48];
+    char name[64];  // room for any size_t shard index
     std::snprintf(name, sizeof(name), "stream.shard%02zu.buffered_records", i);
     shards_[i].buffered_records = metrics_->gauge(name);
   }

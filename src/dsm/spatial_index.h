@@ -12,6 +12,11 @@
 // breaks ties; nearest edge wins, first-traced edge breaks ties), so every
 // query returns bit-identical results to the linear scan it replaces. The
 // parity suite in tests/spatial_index_test.cc enforces this.
+//
+// Each candidate's point-in-polygon test is geo::Polygon::Contains: an
+// even-odd ray cast, then, only for an "outside" answer, the 1e-7
+// boundary-epsilon test, which stops at the first edge that close. Most
+// probes are settled by the ray cast alone.
 #pragma once
 
 #include <cstdint>

@@ -150,12 +150,11 @@ Point2 Polygon::Centroid() const {
 }
 
 bool Polygon::Contains(const Point2& p) const {
-  if (vertices.size() < 3) return false;
-  // Boundary counts as inside.
-  if (BoundaryDistanceTo(p) < 1e-7) return true;
-  // Even-odd ray cast to +x.
+  const size_t n = vertices.size();
+  if (n < 3) return false;
+  // Even-odd ray cast to +x. It answers almost every probe on its own, so
+  // it runs first.
   bool inside = false;
-  size_t n = vertices.size();
   for (size_t i = 0, j = n - 1; i < n; j = i++) {
     const Point2& vi = vertices[i];
     const Point2& vj = vertices[j];
@@ -165,7 +164,14 @@ bool Polygon::Contains(const Point2& p) const {
       if (p.x < x_at) inside = !inside;
     }
   }
-  return inside;
+  if (inside) return true;
+  // Boundary counts as inside: the same answer as BoundaryDistanceTo(p) <
+  // 1e-7, since some edge is that close exactly when the minimum is (a NaN
+  // edge distance fails `<` here and is skipped by std::min there).
+  for (size_t i = 0, j = n - 1; i < n; j = i++) {
+    if (Segment(vertices[j], vertices[i]).DistanceTo(p) < 1e-7) return true;
+  }
+  return false;
 }
 
 double Polygon::BoundaryDistanceTo(const Point2& p) const {

@@ -40,7 +40,8 @@ class ServiceTarget : public IngestTarget {
   ServiceTarget(std::shared_ptr<const core::Engine> engine,
                 size_t worker_threads, const core::StreamOptions& stream)
       : service_(std::move(engine),
-                 core::ServiceOptions{.worker_threads = worker_threads}),
+                 core::ServiceOptions{.worker_threads = worker_threads,
+                                      .metrics = nullptr}),
         session_(service_.NewStreamSession(stream)) {}
 
   std::string Describe() const override { return "service"; }
@@ -76,9 +77,10 @@ class ClusterTarget : public IngestTarget {
  public:
   ClusterTarget(std::shared_ptr<const core::Engine> engine, size_t venues,
                 size_t worker_threads, const core::StreamOptions& stream)
-      : cluster_(cluster::ClusterOptions{.worker_threads = worker_threads}) {
+      : cluster_(cluster::ClusterOptions{.worker_threads = worker_threads,
+                                         .metrics = nullptr}) {
     for (size_t i = 0; i < venues; ++i) {
-      char id[24];
+      char id[32];  // "venue-" + up to 20 digits
       std::snprintf(id, sizeof id, "venue-%02zu", i);
       cluster::VenueConfig venue;
       venue.venue_id = id;

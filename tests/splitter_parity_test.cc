@@ -2,11 +2,14 @@
 // (tests/testing/reference_split.h) on seeded random blocks built to sit on
 // the predicate's edges: distances exactly at eps_space and one ulp either
 // side, repeated timestamps, gaps exactly at eps_time, floor switches and NaN
-// coordinates, for min_pts 1..6.
+// coordinates, for min_pts 1..6; and on the time windows' extremes (eps_time
+// zero, negative or past the block's span, one shared timestamp, records out
+// of time order).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "annotation/splitter.h"
@@ -176,6 +179,62 @@ TEST(SplitterParity, NonPositiveOrNanRadiusHasNoSpatialNeighbours) {
   std::vector<Snippet> clustered = SplitSequence(block, opt);
   ASSERT_EQ(clustered.size(), 1u);
   EXPECT_TRUE(clustered[0].dense);
+}
+
+// Block and AoS forms against the reference, for every min_pts 1..6.
+void ExpectParity(const RecordBlock& block, SplitterOptions opt) {
+  const PositioningSequence seq = block.ToSequence();
+  for (size_t min_pts = 1; min_pts <= 6; ++min_pts) {
+    opt.min_pts = min_pts;
+    const std::vector<Snippet> want = ReferenceSplit(block, opt);
+    ASSERT_TRUE(SameSnippets(SplitSequence(block, opt), want))
+        << "n " << block.Size() << " eps_time " << opt.eps_time << " min_pts " << min_pts;
+    ASSERT_TRUE(SameSnippets(SplitSequence(seq, opt), want))
+        << "AoS n " << block.Size() << " eps_time " << opt.eps_time << " min_pts "
+        << min_pts;
+  }
+}
+
+TEST(SplitterParity, TimeWindowExtremesMatchReference) {
+  // eps_time 0 admits only equal timestamps, a negative one no other record
+  // at all, and one at least the block's span every record; blocks whose
+  // records all share one timestamp put everything in every window.
+  Rng rng(2718);
+  for (int trial = 0; trial < 60; ++trial) {
+    RecordBlock block =
+        RandomEdgeBlock(&rng, SplitterOptions{}, static_cast<size_t>(rng.UniformInt(0, 200)));
+    if (trial % 3 == 2) {
+      for (TimestampMs& t : block.timestamps) t = 5000;
+    }
+    const DurationMs span =
+        block.Size() == 0 ? 0 : block.timestamps.back() - block.timestamps.front();
+    SplitterOptions opt;
+    opt.min_snippet = trial % 2 == 0 ? 0 : 10 * kMillisPerSecond;
+    for (DurationMs eps_time : {DurationMs{0}, DurationMs{-1}, DurationMs{-90000}, span,
+                                span + 1, std::numeric_limits<DurationMs>::max()}) {
+      opt.eps_time = eps_time;
+      ExpectParity(block, opt);
+    }
+  }
+}
+
+TEST(SplitterParity, OutOfOrderTimestampsMatchReference) {
+  // Outside the time-sorted contract the windows still end where the
+  // reference's outward scans stop.
+  Rng rng(31);
+  for (int trial = 0; trial < 40; ++trial) {
+    RecordBlock block = RandomEdgeBlock(&rng, SplitterOptions{}, 120);
+    for (int swaps = 0; swaps < 1 + trial % 8; ++swaps) {
+      std::swap(block.timestamps[rng.UniformInt(0, 119)],
+                block.timestamps[rng.UniformInt(0, 119)]);
+    }
+    SplitterOptions opt;
+    opt.min_snippet = 0;
+    for (DurationMs eps_time : {DurationMs{0}, DurationMs{30000}, DurationMs{90000}}) {
+      opt.eps_time = eps_time;
+      ExpectParity(block, opt);
+    }
+  }
 }
 
 }  // namespace
