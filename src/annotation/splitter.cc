@@ -1,6 +1,5 @@
 #include "annotation/splitter.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -128,28 +127,16 @@ class DensitySplitter {
   uint32_t* hi_;
   uint32_t* nb_;
 
-  // Every record's time window [lo, hi): the records around i that a scan
-  // outward from i reaches before its first record more than eps_time away
-  // (lo <= i < hi, so an eps_time <= 0 still keeps the record itself). On
-  // time-sorted records both edges only move forward, so one sweep finds
-  // them all; out-of-order records fall back to the per-record scans.
+  // Every record's time window [lo, hi): the records around i within
+  // eps_time of it, clamped to lo <= i < hi so an eps_time <= 0 still keeps
+  // the record itself. On the time-sorted records SplitSequence takes, both
+  // edges only move forward, so one sweep finds them all.
   void TimeWindows(const TimestampMs* t, DurationMs eps_time) {
-    if (std::is_sorted(t, t + n_)) {
-      size_t lo = 0;
-      size_t hi = 0;
-      for (size_t i = 0; i < n_; ++i) {
-        while (lo < i && t[i] - t[lo] > eps_time) ++lo;
-        if (hi <= i) hi = i + 1;
-        while (hi < n_ && t[hi] - t[i] <= eps_time) ++hi;
-        lo_[i] = static_cast<uint32_t>(lo);
-        hi_[i] = static_cast<uint32_t>(hi);
-      }
-      return;
-    }
+    size_t lo = 0;
+    size_t hi = 0;
     for (size_t i = 0; i < n_; ++i) {
-      size_t lo = i;
-      while (lo > 0 && t[i] - t[lo - 1] <= eps_time) --lo;
-      size_t hi = i + 1;
+      while (lo < i && t[i] - t[lo] > eps_time) ++lo;
+      if (hi <= i) hi = i + 1;
       while (hi < n_ && t[hi] - t[i] <= eps_time) ++hi;
       lo_[i] = static_cast<uint32_t>(lo);
       hi_[i] = static_cast<uint32_t>(hi);

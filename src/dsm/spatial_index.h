@@ -15,8 +15,7 @@
 //
 // Each candidate's point-in-polygon test is geo::Polygon::Contains: an
 // even-odd ray cast, then, only for an "outside" answer, the 1e-7
-// boundary-epsilon test, which stops at the first edge that close. Most
-// probes are settled by the ray cast alone.
+// boundary-epsilon test. Most probes are settled by the ray cast alone.
 #pragma once
 
 #include <cstdint>

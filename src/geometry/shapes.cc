@@ -164,14 +164,8 @@ bool Polygon::Contains(const Point2& p) const {
       if (p.x < x_at) inside = !inside;
     }
   }
-  if (inside) return true;
-  // Boundary counts as inside: the same answer as BoundaryDistanceTo(p) <
-  // 1e-7, since some edge is that close exactly when the minimum is (a NaN
-  // edge distance fails `<` here and is skipped by std::min there).
-  for (size_t i = 0, j = n - 1; i < n; j = i++) {
-    if (Segment(vertices[j], vertices[i]).DistanceTo(p) < 1e-7) return true;
-  }
-  return false;
+  // Boundary counts as inside; checked only for "outside" answers.
+  return inside || BoundaryDistanceTo(p) < 1e-7;
 }
 
 double Polygon::BoundaryDistanceTo(const Point2& p) const {
@@ -180,8 +174,8 @@ double Polygon::BoundaryDistanceTo(const Point2& p) const {
   double best = 1e300;
   const size_t n = vertices.size();
   if (n < 2) return best;
-  for (size_t i = 0; i < n; ++i) {
-    best = std::min(best, Segment(vertices[i], vertices[(i + 1) % n]).DistanceTo(p));
+  for (size_t i = 0, j = n - 1; i < n; j = i++) {
+    best = std::min(best, Segment(vertices[j], vertices[i]).DistanceTo(p));
   }
   return best;
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -199,13 +200,25 @@ TEST(PolygonTest, BoundsCoverAllVertices) {
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Test-only oracle: the same two tests in boundary-first order — within 1e-7
-// of the boundary is inside, else the even-odd ray cast to +x decides.
+// Test-only oracles. The boundary distance is the minimum over the edges
+// (v[i], v[i+1 mod n]) in index order; Polygon::BoundaryDistanceTo walks the
+// same edges from (v[n-1], v[0]) and must return the same value.
+double ReferenceBoundaryDistance(const Polygon& poly, const Point2& p) {
+  const std::vector<Point2>& v = poly.vertices;
+  double best = 1e300;
+  for (size_t i = 0; v.size() >= 2 && i < v.size(); ++i) {
+    best = std::min(best, Segment(v[i], v[(i + 1) % v.size()]).DistanceTo(p));
+  }
+  return best;
+}
+
+// Containment with the two tests in boundary-first order: within 1e-7 of the
+// boundary is inside, else the even-odd ray cast to +x decides.
 // Polygon::Contains runs the ray cast first and must agree on every point.
 bool BoundaryFirstContains(const Polygon& poly, const Point2& p) {
   const std::vector<Point2>& v = poly.vertices;
   if (v.size() < 3) return false;
-  if (poly.BoundaryDistanceTo(p) < 1e-7) return true;
+  if (ReferenceBoundaryDistance(poly, p) < 1e-7) return true;
   bool inside = false;
   for (size_t i = 0, j = v.size() - 1; i < v.size(); j = i++) {
     if ((v[i].y > p.y) != (v[j].y > p.y)) {
@@ -262,6 +275,8 @@ void ExpectContainsParity(const Polygon& poly, const std::vector<Point2>& probes
     ASSERT_EQ(poly.Contains(p), BoundaryFirstContains(poly, p))
         << "probe (" << p.x << ", " << p.y << ") on a " << poly.vertices.size()
         << "-vertex polygon";
+    ASSERT_EQ(poly.BoundaryDistanceTo(p), ReferenceBoundaryDistance(poly, p))
+        << "probe (" << p.x << ", " << p.y << ")";
   }
 }
 
@@ -335,8 +350,10 @@ TEST(PolygonContainsParity, RandomPointsAroundMallRegions) {
     }
     const bool want = BoundaryFirstContains(poly, p);
     ASSERT_EQ(poly.Contains(p), want) << "probe " << k;
+    const double boundary = poly.BoundaryDistanceTo(p);
+    ASSERT_EQ(boundary, ReferenceBoundaryDistance(poly, p)) << "probe " << k;
     want ? ++inside : ++outside;
-    near_boundary += poly.BoundaryDistanceTo(p) < 1e-7;
+    near_boundary += boundary < 1e-7;
   }
   EXPECT_GT(inside, 2000u);
   EXPECT_GT(outside, 2000u);

@@ -3,13 +3,11 @@
 // the predicate's edges: distances exactly at eps_space and one ulp either
 // side, repeated timestamps, gaps exactly at eps_time, floor switches and NaN
 // coordinates, for min_pts 1..6; and on the time windows' extremes (eps_time
-// zero, negative or past the block's span, one shared timestamp, records out
-// of time order).
+// zero, negative or past the block's span, one shared timestamp).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
-#include <utility>
 #include <vector>
 
 #include "annotation/splitter.h"
@@ -212,25 +210,6 @@ TEST(SplitterParity, TimeWindowExtremesMatchReference) {
     opt.min_snippet = trial % 2 == 0 ? 0 : 10 * kMillisPerSecond;
     for (DurationMs eps_time : {DurationMs{0}, DurationMs{-1}, DurationMs{-90000}, span,
                                 span + 1, std::numeric_limits<DurationMs>::max()}) {
-      opt.eps_time = eps_time;
-      ExpectParity(block, opt);
-    }
-  }
-}
-
-TEST(SplitterParity, OutOfOrderTimestampsMatchReference) {
-  // Outside the time-sorted contract the windows still end where the
-  // reference's outward scans stop.
-  Rng rng(31);
-  for (int trial = 0; trial < 40; ++trial) {
-    RecordBlock block = RandomEdgeBlock(&rng, SplitterOptions{}, 120);
-    for (int swaps = 0; swaps < 1 + trial % 8; ++swaps) {
-      std::swap(block.timestamps[rng.UniformInt(0, 119)],
-                block.timestamps[rng.UniformInt(0, 119)]);
-    }
-    SplitterOptions opt;
-    opt.min_snippet = 0;
-    for (DurationMs eps_time : {DurationMs{0}, DurationMs{30000}, DurationMs{90000}}) {
       opt.eps_time = eps_time;
       ExpectParity(block, opt);
     }
