@@ -108,10 +108,11 @@ void ReportEventIdentification() {
   for (int d = 0; d < kEval; ++d) {
     auto dev = ctx.generator->GenerateDevice("eval", 0, &rng);
     if (!dev.ok()) std::abort();
+    positioning::RecordBlock truth = positioning::RecordBlock::FromSequence(dev->truth);
     core::SemanticsAgreement a =
-        core::CompareSemantics(dev->semantics, annotator.Annotate(dev->truth));
+        core::CompareSemantics(dev->semantics, annotator.Annotate(truth));
     core::SemanticsAgreement b =
-        core::CompareSemantics(dev->semantics, baseline.Annotate(dev->truth));
+        core::CompareSemantics(dev->semantics, baseline.Annotate(truth));
     trips_event += a.event_match;
     trips_region += a.region_match;
     base_event += b.event_match;
@@ -122,16 +123,20 @@ void ReportEventIdentification() {
               base_event / kEval * 100);
 }
 
+/// One device's raw records as a time-sorted block: the layout and order the
+/// annotation layer runs on.
+positioning::RecordBlock SortedBlock(const positioning::PositioningSequence& seq) {
+  positioning::RecordBlock block = positioning::RecordBlock::FromSequence(seq);
+  block.SortByTime();
+  return block;
+}
+
 /// The columnar splitter on one device's time-sorted block (the path the
 /// annotator runs).
 void BM_SplitSequence(benchmark::State& state) {
   static MallContext ctx = MallContext::Make(7, 3);
   static auto fleet = bench::MakeFleet(ctx, 1, bench::DefaultNoise(7), 808);
-  static positioning::RecordBlock block = [] {
-    positioning::RecordBlock b = positioning::RecordBlock::FromSequence(fleet[0].raw);
-    b.SortByTime();
-    return b;
-  }();
+  static positioning::RecordBlock block = SortedBlock(fleet[0].raw);
   for (auto _ : state) {
     auto snippets = annotation::SplitSequence(block);
     benchmark::DoNotOptimize(snippets);
@@ -146,8 +151,9 @@ BENCHMARK(BM_SplitSequence)->Unit(benchmark::kMillisecond);
 void BM_ExtractFeatures(benchmark::State& state) {
   static MallContext ctx = MallContext::Make(7, 3);
   static auto fleet = bench::MakeFleet(ctx, 1, bench::DefaultNoise(7), 909);
+  static positioning::RecordBlock block = SortedBlock(fleet[0].raw);
   for (auto _ : state) {
-    auto f = annotation::ExtractFeatures(fleet[0].raw);
+    auto f = annotation::ExtractFeatures(block, 0, block.Size());
     benchmark::DoNotOptimize(f);
   }
 }
@@ -169,13 +175,14 @@ BENCHMARK(BM_TrainModel)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 void BM_Annotate(benchmark::State& state) {
   static MallContext ctx = MallContext::Make(7, 3);
   static auto fleet = bench::MakeFleet(ctx, 1, bench::DefaultNoise(7), 121);
+  static positioning::RecordBlock block = SortedBlock(fleet[0].raw);
   static annotation::EventClassifier classifier;  // rule-based
   annotation::Annotator annotator(ctx.dsm.get(), &classifier);
   size_t records = 0;
   for (auto _ : state) {
-    auto semantics = annotator.Annotate(fleet[0].raw);
+    auto semantics = annotator.Annotate(block);
     benchmark::DoNotOptimize(semantics);
-    records += fleet[0].raw.records.size();
+    records += block.Size();
   }
   state.counters["records/s"] =
       benchmark::Counter(static_cast<double>(records), benchmark::Counter::kIsRate);

@@ -45,7 +45,9 @@ void ReportCleaningSweep() {
     size_t floor_raw = 0, floor_clean = 0, violations = 0, repaired = 0, matched = 0;
     for (const bench::NoisyDevice& nd : fleet) {
       cleaning::CleaningReport report;
-      positioning::PositioningSequence cleaned = cleaner.Clean(nd.raw, &report);
+      positioning::RecordBlock block = positioning::RecordBlock::FromSequence(nd.raw);
+      cleaner.CleanBlock(&block, nullptr, &report);
+      positioning::PositioningSequence cleaned = block.ToSequence();
       positioning::ErrorStats before =
           positioning::CompareToTruth(nd.truth.truth, nd.raw);
       positioning::ErrorStats after =
@@ -74,11 +76,13 @@ void BM_CleanSequence(benchmark::State& state) {
   noise.floor_error_rate = 0.02 * state.range(0);
   static auto fleet = bench::MakeFleet(ctx, 2, noise, 505);
   cleaning::RawDataCleaner cleaner(ctx.dsm.get(), ctx.planner.get());
+  positioning::RecordBlock block;
   size_t records = 0;
   for (auto _ : state) {
     cleaning::CleaningReport report;
-    auto cleaned = cleaner.Clean(fleet[0].raw, &report);
-    benchmark::DoNotOptimize(cleaned);
+    block.AssignFrom(fleet[0].raw);
+    cleaner.CleanBlock(&block, nullptr, &report);
+    benchmark::DoNotOptimize(block.xs.data());
     records += fleet[0].raw.records.size();
   }
   state.counters["records/s"] =
@@ -92,9 +96,11 @@ void BM_CleanSmoothing(benchmark::State& state) {
   cleaning::CleanerOptions copt;
   copt.smoothing_window = static_cast<size_t>(state.range(0));
   cleaning::RawDataCleaner cleaner(ctx.dsm.get(), ctx.planner.get(), copt);
+  positioning::RecordBlock block;
   for (auto _ : state) {
-    auto cleaned = cleaner.Clean(fleet[0].raw, nullptr);
-    benchmark::DoNotOptimize(cleaned);
+    block.AssignFrom(fleet[0].raw);
+    cleaner.CleanBlock(&block, nullptr);
+    benchmark::DoNotOptimize(block.xs.data());
   }
 }
 BENCHMARK(BM_CleanSmoothing)->Arg(0)->Arg(3)->Arg(7)->Unit(benchmark::kMillisecond);

@@ -58,11 +58,14 @@ void ReportWorkflow() {
     };
 
     auto t0 = Clock::now();
-    std::vector<positioning::PositioningSequence> cleaned;
-    for (const auto& nd : fleet) cleaned.push_back(cleaner.Clean(nd.raw, nullptr));
+    std::vector<positioning::RecordBlock> cleaned;
+    for (const auto& nd : fleet) {
+      cleaned.push_back(positioning::RecordBlock::FromSequence(nd.raw));
+      cleaner.CleanBlock(&cleaned.back(), nullptr);
+    }
     auto t1 = Clock::now();
     std::vector<core::MobilitySemanticsSequence> annotated;
-    for (const auto& seq : cleaned) annotated.push_back(annotator.Annotate(seq));
+    for (const auto& block : cleaned) annotated.push_back(annotator.Annotate(block));
     auto t2 = Clock::now();
     complement::KnowledgeBuilder builder(ctx.dsm.get());
     for (const auto& seq : annotated) builder.AddSequence(seq);

@@ -78,9 +78,12 @@ std::vector<core::MobilitySemanticsSequence> TiledCorpus(
   out.reserve(base.size() * scale);
   for (size_t t = 0; t < scale; ++t) {
     TimestampMs shift = static_cast<TimestampMs>(t) * kMillisPerDay;
+    // Named first: GCC 12 in Release builds flags `"t" + std::to_string(t)`
+    // with a false -Wrestrict.
+    const std::string tile = std::to_string(t);
     for (const core::MobilitySemanticsSequence& seq : base) {
       core::MobilitySemanticsSequence copy = seq;
-      copy.device_id = "t" + std::to_string(t) + "." + seq.device_id;
+      copy.device_id = "t" + tile + "." + seq.device_id;
       for (core::MobilitySemantic& s : copy.semantics) {
         s.range.begin += shift;
         s.range.end += shift;

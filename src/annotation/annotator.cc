@@ -4,9 +4,6 @@
 
 namespace trips::annotation {
 
-using positioning::RecordCount;
-using positioning::TimeAt;
-
 namespace {
 
 // Shared post-processing: merge equal-adjacent triplets, drop short ones.
@@ -35,28 +32,26 @@ void Postprocess(const AnnotatorOptions& options,
 }
 
 // Builds one triplet from a snippet, or returns false to drop it.
-template <typename Source>
-bool MakeTriplet(const Source& src, const Snippet& snip,
+bool MakeTriplet(const positioning::RecordBlock& cleaned, const Snippet& snip,
                  const SpatialMatcher& matcher, const AnnotatorOptions& options,
                  const std::string& event, core::MobilitySemantic* out) {
-  SpatialMatch match = matcher.Match(src, snip.begin, snip.end);
+  SpatialMatch match = matcher.Match(cleaned, snip.begin, snip.end);
   if (match.region == dsm::kInvalidRegion && options.drop_unmatched) return false;
   out->event = event;
   out->region = match.region;
   out->region_name = match.region_name;
-  out->range = {TimeAt(src, snip.begin), TimeAt(src, snip.end - 1)};
+  out->range = {cleaned.timestamps[snip.begin], cleaned.timestamps[snip.end - 1]};
   out->inferred = false;
   return true;
 }
 
-// The annotation loop over either layout: split, extract features per
+// The annotation loop shared by both annotators: split, extract features per
 // snippet, pick the event through `event_of`, match the region, postprocess.
-template <typename Source, typename EventFn>
-core::MobilitySemanticsSequence AnnotateImpl(const Source& cleaned,
-                                             const AnnotatorOptions& options,
-                                             const SpatialMatcher& matcher,
-                                             const EventFn& event_of,
-                                             AnnotateTimings* timings) {
+template <typename EventFn>
+core::MobilitySemanticsSequence AnnotateImpl(
+    const positioning::RecordBlock& cleaned, const AnnotatorOptions& options,
+    const SpatialMatcher& matcher, const EventFn& event_of,
+    AnnotateTimings* timings) {
   core::MobilitySemanticsSequence out;
   out.device_id = cleaned.device_id;
   std::vector<Snippet> snippets;
@@ -87,19 +82,9 @@ core::MobilitySemanticsSequence AnnotateImpl(const Source& cleaned,
 
 Annotator::Annotator(const dsm::Dsm* dsm, const EventClassifier* classifier,
                      AnnotatorOptions options)
-    : dsm_(dsm),
-      classifier_(classifier),
+    : classifier_(classifier),
       options_(options),
       matcher_(dsm, options.matcher) {}
-
-core::MobilitySemanticsSequence Annotator::Annotate(
-    const positioning::PositioningSequence& cleaned,
-    AnnotateTimings* timings) const {
-  return AnnotateImpl(
-      cleaned, options_, matcher_,
-      [this](const FeatureVector& f) { return classifier_->Identify(f); },
-      timings);
-}
 
 core::MobilitySemanticsSequence Annotator::Annotate(
     const positioning::RecordBlock& cleaned, AnnotateTimings* timings) const {
@@ -111,25 +96,13 @@ core::MobilitySemanticsSequence Annotator::Annotate(
 
 StopMoveBaseline::StopMoveBaseline(const dsm::Dsm* dsm, AnnotatorOptions options,
                                    double stop_speed)
-    : dsm_(dsm),
-      options_(options),
+    : options_(options),
       stop_speed_(stop_speed),
       matcher_(dsm, options.matcher) {}
 
 core::MobilitySemanticsSequence StopMoveBaseline::Annotate(
-    const positioning::PositioningSequence& cleaned) const {
-  // The two-pattern vocabulary of the prior GPS systems: stop or move.
-  return AnnotateImpl(
-      cleaned, options_, matcher_,
-      [this](const FeatureVector& f) {
-        return std::string(f[kMeanSpeed] < stop_speed_ ? core::kEventStay
-                                                       : core::kEventPassBy);
-      },
-      nullptr);
-}
-
-core::MobilitySemanticsSequence StopMoveBaseline::Annotate(
     const positioning::RecordBlock& cleaned) const {
+  // The two-pattern vocabulary of the prior GPS systems: stop or move.
   return AnnotateImpl(
       cleaned, options_, matcher_,
       [this](const FeatureVector& f) {

@@ -11,7 +11,7 @@
 #include "annotation/spatial_matcher.h"
 #include "annotation/splitter.h"
 #include "core/semantics.h"
-#include "positioning/record.h"
+#include "positioning/record_block.h"
 
 namespace trips::annotation {
 
@@ -37,29 +37,23 @@ struct AnnotateTimings {
   uint64_t split_ns = 0;  ///< wall time of SplitSequence
 };
 
-/// Produces mobility semantics from cleaned positioning sequences.
+/// Produces mobility semantics from cleaned record blocks.
 class Annotator {
  public:
-  /// `dsm` and `classifier` must outlive the annotator. The classifier may be
-  /// untrained (rule-based identification is used then).
+  /// `dsm` (held by the spatial matcher) and `classifier` must outlive the
+  /// annotator. The classifier may be untrained (rule-based identification
+  /// is used then).
   Annotator(const dsm::Dsm* dsm, const EventClassifier* classifier,
             AnnotatorOptions options = {});
 
-  /// Annotates one cleaned sequence into its mobility semantics sequence.
-  /// When `timings` is non-null the per-stage breakdown is written to it.
-  core::MobilitySemanticsSequence Annotate(
-      const positioning::PositioningSequence& cleaned,
-      AnnotateTimings* timings = nullptr) const;
-
-  /// Columnar form: annotates a cleaned record block directly (the block
-  /// pipeline path — no AoS materialization; output identical to the AoS
-  /// form).
+  /// Annotates one cleaned, time-sorted record block into its mobility
+  /// semantics sequence. When `timings` is non-null the per-stage breakdown
+  /// is written to it.
   core::MobilitySemanticsSequence Annotate(
       const positioning::RecordBlock& cleaned,
       AnnotateTimings* timings = nullptr) const;
 
  private:
-  const dsm::Dsm* dsm_;
   const EventClassifier* classifier_;
   AnnotatorOptions options_;
   SpatialMatcher matcher_;
@@ -74,15 +68,11 @@ class StopMoveBaseline {
   StopMoveBaseline(const dsm::Dsm* dsm, AnnotatorOptions options = {},
                    double stop_speed = 0.5);
 
-  core::MobilitySemanticsSequence Annotate(
-      const positioning::PositioningSequence& cleaned) const;
-
-  /// Columnar form over a cleaned record block.
+  /// Annotates one cleaned, time-sorted record block.
   core::MobilitySemanticsSequence Annotate(
       const positioning::RecordBlock& cleaned) const;
 
  private:
-  const dsm::Dsm* dsm_;
   AnnotatorOptions options_;
   double stop_speed_;
   SpatialMatcher matcher_;

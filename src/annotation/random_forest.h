@@ -12,7 +12,7 @@ namespace trips::annotation {
 /// Forest hyper-parameters.
 struct RandomForestOptions {
   int num_trees = 25;
-  DecisionTreeOptions tree;
+  DecisionTreeOptions tree = {};
   /// Features per split; 0 = floor(sqrt(num_features)).
   size_t max_features = 0;
   uint64_t seed = 0xf0425;

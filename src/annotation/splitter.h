@@ -52,7 +52,11 @@ std::vector<Snippet> SplitSequence(const positioning::RecordBlock& block,
                                    const SplitterOptions& options = {});
 
 /// AoS form: copies the sequence into a per-thread RecordBlock and runs the
-/// columnar splitter, so both forms return identical snippets.
+/// columnar splitter, so both forms return identical snippets. It is the one
+/// AoS entry point left in the annotation layer because the end-to-end
+/// benchmark (trips_bench/) splits its AoS `TranslationResult::cleaned`
+/// sequences through it, and that benchmark's sources stay fixed so that its
+/// runs compare across commits.
 std::vector<Snippet> SplitSequence(const positioning::PositioningSequence& seq,
                                    const SplitterOptions& options = {});
 

@@ -529,15 +529,6 @@ void RawDataCleaner::CleanBlock(RecordBlock* block, CleanerScratch* scratch,
   }
 }
 
-PositioningSequence RawDataCleaner::Clean(const PositioningSequence& raw,
-                                          CleaningReport* report,
-                                          util::ThreadPool* pool) const {
-  static thread_local RecordBlock block;
-  block.AssignFrom(raw);
-  CleanBlock(&block, nullptr, report, pool);
-  return block.ToSequence();
-}
-
 PositioningSequence RawDataCleaner::CleanReference(const PositioningSequence& raw,
                                                    CleaningReport* report) const {
   CleaningReport local;

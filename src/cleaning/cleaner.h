@@ -8,21 +8,23 @@
 // the time of that record based on the indoor geometrical and topological
 // information captured by the DSM."
 //
-// The cleaner runs columnar: CleanBlock repairs a positioning::RecordBlock in
-// place with four passes over its columns — (1) sequential speed-constraint
-// anchor scan, (2) DSM-guided interpolation of the invalid runs, (3) optional
-// planar smoothing, (4) snap-back into walkable space. Passes 2 and 4 operate
-// on disjoint records, so for long sequences they fan out over an optional
-// util::ThreadPool with bit-identical, worker-count-independent results.
-// Passes 1, 3 and 4 run through SIMD-friendly kernels — branch-free mask
-// columns, per-run window sweeps and the cell-sorted batched snap — that
-// evaluate the same arithmetic in the same per-element order as the
-// per-record AoS CleanReference, so their output is byte-identical to it
-// (tests/cleaning_vector_test.cc enforces this; tools/check_vectorization.sh
-// checks the tagged kernel loops are SIMD-compiled). The AoS
-// Clean(PositioningSequence) entry point is a shim that delegates through a
-// per-thread block; CleanReference, the original AoS implementation, is the
-// oracle of the parity tests and the baseline of the cleaning benchmarks.
+// The cleaner accepts one record layout: CleanBlock repairs a
+// positioning::RecordBlock in place with four passes over its columns — (1)
+// sequential speed-constraint anchor scan, (2) DSM-guided interpolation of
+// the invalid runs, (3) optional planar smoothing, (4) snap-back into
+// walkable space. Passes 2 and 4 operate on disjoint records, so for long
+// sequences they fan out over an optional util::ThreadPool with
+// bit-identical, worker-count-independent results. Passes 1, 3 and 4 run
+// through SIMD-friendly kernels — branch-free mask columns, per-run window
+// sweeps and the cell-sorted batched snap — that evaluate the same arithmetic
+// in the same per-element order as the per-record CleanReference, so their
+// output is byte-identical to it (tests/cleaning_vector_test.cc enforces
+// this; tools/check_vectorization.sh checks the tagged kernel loops are
+// SIMD-compiled). CleanReference, the original implementation over an AoS
+// sequence, is kept only as the oracle of the parity tests and the baseline
+// of the cleaning benchmarks; callers holding AoS records convert with
+// RecordBlock::FromSequence and read the cleaned records back with
+// ToSequence.
 #pragma once
 
 #include <cstddef>
@@ -65,7 +67,7 @@ struct CleanerOptions {
   size_t smoothing_window = 0;
   /// Sequences with at least this many records run cleaning passes 2
   /// (interpolation) and 4 (snapping) in parallel when a thread pool is
-  /// passed to Clean/CleanBlock; shorter sequences always clean serially.
+  /// passed to CleanBlock; shorter sequences always clean serially.
   size_t parallel_min_records = 4096;
 };
 
@@ -145,15 +147,9 @@ class RawDataCleaner {
                   const CleaningStageMetrics* stages = nullptr) const;
 
   /// Returns the cleaned copy of `raw` (same record count and timestamps;
-  /// locations repaired). `report` may be null. AoS shim over CleanBlock; the
-  /// intermediate block and scratch are per-thread and reused across calls.
-  positioning::PositioningSequence Clean(const positioning::PositioningSequence& raw,
-                                         CleaningReport* report = nullptr,
-                                         util::ThreadPool* pool = nullptr) const;
-
-  /// Reference AoS implementation of Clean (the pre-columnar code path),
-  /// retained for the SoA==AoS parity suite and the before/after cleaning
-  /// benchmarks. Always serial.
+  /// locations repaired) through the original per-record code path: the
+  /// oracle CleanBlock must match byte for byte, and the before/after
+  /// baseline of the cleaning benchmarks. Always serial.
   positioning::PositioningSequence CleanReference(
       const positioning::PositioningSequence& raw,
       CleaningReport* report = nullptr) const;

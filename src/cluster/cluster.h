@@ -57,7 +57,7 @@ struct VenueConfig {
   core::StreamOptions stream = {};
   /// Segment directory of the venue's trip store. Empty: memory-only (the
   /// venue still answers history/analytics queries, nothing hits disk).
-  std::string store_directory;
+  std::string store_directory = {};
   /// Sequences per store segment before sealing.
   size_t segment_max_sequences = 256;
   /// Width of the store's time-partition directories (<= 0: flat layout).
@@ -79,7 +79,7 @@ struct ClusterOptions {
   /// Venue shards share the registry, so "stream."/"store."/"translate."
   /// metrics aggregate cluster-wide; per-venue counts are exported as
   /// "venue.<id>." callback gauges. Recording never alters output.
-  std::shared_ptr<obs::MetricsRegistry> metrics;
+  std::shared_ptr<obs::MetricsRegistry> metrics = nullptr;
 };
 
 /// One positioning record addressed to a venue — the cluster's wire unit.

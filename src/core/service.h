@@ -42,7 +42,7 @@ struct ServiceOptions {
   /// across services or to start with recording disabled
   /// (std::make_shared<obs::MetricsRegistry>(false)). Recording never alters
   /// translation output.
-  std::shared_ptr<obs::MetricsRegistry> metrics;
+  std::shared_ptr<obs::MetricsRegistry> metrics = nullptr;
 };
 
 /// Facade over one engine: creates batch and stream sessions that share it.

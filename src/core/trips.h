@@ -24,8 +24,9 @@
 //                   per-worker CleanerScratch, SIMD mask/sweep kernels,
 //                   batched snapping via Dsm::SnapIfOutsideBatch, parallel
 //                   passes on long sequences) and annotation without AoS
-//                   rematerialization; the AoS entry points remain as
-//                   byte-identical shims
+//                   rematerialization. Blocks are the only record layout
+//                   the cleaning and annotation layers accept; AoS
+//                   sequences are converted once, at the Engine's edges
 //   Store         — store::TripStore, the persistent, indexed semantic-
 //                   trajectory store between translation and analytics:
 //                   append-only binary segments (store/segment_codec.h:

@@ -91,7 +91,7 @@ struct StoreOptions {
   /// Metrics registry the store records into (append/query latency, segment
   /// and byte counts — all under the "store." prefix). Null: no recording.
   /// Stores sharing a registry aggregate into the same metrics.
-  std::shared_ptr<obs::MetricsRegistry> metrics;
+  std::shared_ptr<obs::MetricsRegistry> metrics = nullptr;
 };
 
 /// One triplet of one device matching a RegionVisitors query.

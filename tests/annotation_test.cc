@@ -5,11 +5,19 @@
 #include "annotation/spatial_matcher.h"
 #include "dsm/sample_spaces.h"
 #include "mobility/generator.h"
+#include "positioning/record_block.h"
 
 namespace trips::annotation {
 namespace {
 
 using positioning::PositioningSequence;
+using positioning::RecordBlock;
+
+// Features of a whole labeled segment, extracted from its block form.
+FeatureVector Features(const config::LabeledSegment& seg) {
+  RecordBlock block = RecordBlock::FromSequence(seg.segment);
+  return ExtractFeatures(block, 0, block.Size());
+}
 
 class AnnotationFixture : public ::testing::Test {
  protected:
@@ -55,8 +63,9 @@ TEST_F(AnnotationFixture, SpatialMatcherFindsTheRegion) {
     seq.records.emplace_back(c.x + 0.1 * i, c.y, adidas->floor,
                              static_cast<TimestampMs>(i) * 3000);
   }
+  RecordBlock block = RecordBlock::FromSequence(seq);
   SpatialMatcher matcher(dsm_.get());
-  SpatialMatch match = matcher.Match(seq, 0, seq.records.size());
+  SpatialMatch match = matcher.Match(block, 0, block.Size());
   EXPECT_EQ(match.region, adidas->id);
   EXPECT_EQ(match.region_name, "Adidas");
   EXPECT_GT(match.coverage, 0.95);
@@ -74,8 +83,9 @@ TEST_F(AnnotationFixture, SpatialMatcherMajorityWins) {
   for (int i = 5; i < 20; ++i) {
     seq.records.emplace_back(c.x, c.y, shop->floor, static_cast<TimestampMs>(i) * 3000);
   }
+  RecordBlock block = RecordBlock::FromSequence(seq);
   SpatialMatcher matcher(dsm_.get());
-  SpatialMatch match = matcher.Match(seq, 0, seq.records.size());
+  SpatialMatch match = matcher.Match(block, 0, block.Size());
   EXPECT_EQ(match.region, shop->id);
   EXPECT_NEAR(match.coverage, 0.75, 0.1);
 }
@@ -86,11 +96,12 @@ TEST_F(AnnotationFixture, SpatialMatcherRejectsLowCoverage) {
   for (int i = 0; i < 10; ++i) {
     seq.records.emplace_back(13, 58.5, 0, static_cast<TimestampMs>(i) * 3000);
   }
+  RecordBlock block = RecordBlock::FromSequence(seq);
   SpatialMatcher matcher(dsm_.get(), {.min_coverage = 0.5});
-  SpatialMatch match = matcher.Match(seq, 0, seq.records.size());
+  SpatialMatch match = matcher.Match(block, 0, block.Size());
   EXPECT_EQ(match.region, dsm::kInvalidRegion);
   // Empty slice.
-  EXPECT_EQ(matcher.Match(seq, 5, 5).region, dsm::kInvalidRegion);
+  EXPECT_EQ(matcher.Match(block, 5, 5).region, dsm::kInvalidRegion);
 }
 
 TEST_F(AnnotationFixture, RuleBasedIdentifierSeparatesObviousCases) {
@@ -127,7 +138,7 @@ TEST_F(AnnotationFixture, ClassifierTrainsAndBeatsChance) {
   std::vector<config::LabeledSegment> test = CollectTraining(4, 99);
   size_t hits = 0;
   for (const config::LabeledSegment& seg : test) {
-    FeatureVector f = ExtractFeatures(seg.segment);
+    FeatureVector f = Features(seg);
     if (classifier.Identify(f) == seg.event) ++hits;
   }
   double acc = static_cast<double>(hits) / static_cast<double>(test.size());
@@ -151,7 +162,7 @@ TEST_F(AnnotationFixture, ConfidenceThresholdYieldsUnknown) {
   EventClassifier classifier({.model = ModelKind::kRandomForest,
                               .min_confidence = 1.01});  // unreachable bar
   ASSERT_TRUE(classifier.Train(train).ok());
-  FeatureVector f = ExtractFeatures(train[0].segment);
+  FeatureVector f = Features(train[0]);
   EXPECT_EQ(classifier.Identify(f), core::kEventUnknown);
 }
 
@@ -163,7 +174,8 @@ TEST_F(AnnotationFixture, AnnotatorProducesOrderedTriplets) {
 
   EventClassifier classifier;  // untrained -> rule-based
   Annotator annotator(dsm_.get(), &classifier);
-  core::MobilitySemanticsSequence result = annotator.Annotate(dev->truth);
+  RecordBlock truth = RecordBlock::FromSequence(dev->truth);
+  core::MobilitySemanticsSequence result = annotator.Annotate(truth);
   ASSERT_FALSE(result.Empty());
   EXPECT_EQ(result.device_id, "shopper");
   for (size_t i = 0; i < result.semantics.size(); ++i) {
@@ -186,7 +198,8 @@ TEST_F(AnnotationFixture, AnnotatorMergesAdjacentEqualTriplets) {
   AnnotatorOptions opt;
   opt.merge_adjacent = true;
   Annotator annotator(dsm_.get(), &classifier, opt);
-  core::MobilitySemanticsSequence merged = annotator.Annotate(dev->truth);
+  RecordBlock truth = RecordBlock::FromSequence(dev->truth);
+  core::MobilitySemanticsSequence merged = annotator.Annotate(truth);
   for (size_t i = 1; i < merged.semantics.size(); ++i) {
     EXPECT_FALSE(merged.semantics[i].event == merged.semantics[i - 1].event &&
                  merged.semantics[i].region == merged.semantics[i - 1].region)
@@ -205,7 +218,8 @@ TEST_F(AnnotationFixture, TrainedAnnotatorRecoversGroundTruthRegions) {
   ASSERT_TRUE(dev.ok());
 
   Annotator annotator(dsm_.get(), &classifier);
-  core::MobilitySemanticsSequence predicted = annotator.Annotate(dev->truth);
+  RecordBlock truth = RecordBlock::FromSequence(dev->truth);
+  core::MobilitySemanticsSequence predicted = annotator.Annotate(truth);
   core::SemanticsAgreement agreement =
       core::CompareSemantics(dev->semantics, predicted);
   // On noiseless data the regions should be recovered almost perfectly and
@@ -220,7 +234,8 @@ TEST_F(AnnotationFixture, StopMoveBaselineProducesOnlyTwoEvents) {
   auto dev = gen.GenerateDevice("b", 0, &rng);
   ASSERT_TRUE(dev.ok());
   StopMoveBaseline baseline(dsm_.get());
-  core::MobilitySemanticsSequence result = baseline.Annotate(dev->truth);
+  RecordBlock truth = RecordBlock::FromSequence(dev->truth);
+  core::MobilitySemanticsSequence result = baseline.Annotate(truth);
   ASSERT_FALSE(result.Empty());
   for (const core::MobilitySemantic& s : result.semantics) {
     EXPECT_TRUE(s.event == core::kEventStay || s.event == core::kEventPassBy);

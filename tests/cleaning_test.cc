@@ -3,12 +3,14 @@
 #include "cleaning/cleaner.h"
 #include "dsm/sample_spaces.h"
 #include "positioning/error_model.h"
+#include "positioning/record_block.h"
 
 namespace trips::cleaning {
 namespace {
 
 using positioning::PositioningSequence;
 using positioning::RawRecord;
+using positioning::RecordBlock;
 
 class CleanerFixture : public ::testing::Test {
  protected:
@@ -36,6 +38,15 @@ class CleanerFixture : public ::testing::Test {
     return seq;
   }
 
+  // Cleans `raw` through its block form and reads the records back.
+  static PositioningSequence Clean(const RawDataCleaner& cleaner,
+                                   const PositioningSequence& raw,
+                                   CleaningReport* report) {
+    RecordBlock block = RecordBlock::FromSequence(raw);
+    cleaner.CleanBlock(&block, nullptr, report);
+    return block.ToSequence();
+  }
+
   std::unique_ptr<dsm::Dsm> dsm_;
   std::unique_ptr<dsm::RoutePlanner> planner_;
 };
@@ -44,7 +55,7 @@ TEST_F(CleanerFixture, CleanSequencePassesThrough) {
   RawDataCleaner cleaner(dsm_.get(), planner_.get());
   CleaningReport report;
   PositioningSequence walk = CorridorWalk(20);
-  PositioningSequence cleaned = cleaner.Clean(walk, &report);
+  PositioningSequence cleaned = Clean(cleaner, walk, &report);
   EXPECT_EQ(report.total_records, 20u);
   EXPECT_EQ(report.speed_violations, 0u);
   EXPECT_EQ(report.interpolated, 0u);
@@ -60,7 +71,7 @@ TEST_F(CleanerFixture, DetectsAndRepairsOutlier) {
   walk.records[10].location.xy.y = 70.0;
   RawDataCleaner cleaner(dsm_.get(), planner_.get());
   CleaningReport report;
-  PositioningSequence cleaned = cleaner.Clean(walk, &report);
+  PositioningSequence cleaned = Clean(cleaner, walk, &report);
   EXPECT_GE(report.speed_violations, 1u);
   EXPECT_GE(report.interpolated, 1u);
   // The repaired record is near the corridor path (y = 30), not at y = 70.
@@ -74,7 +85,7 @@ TEST_F(CleanerFixture, FloorValueCorrection) {
   walk.records[7].location.floor = 2;  // wrong floor, planar position fine
   RawDataCleaner cleaner(dsm_.get(), planner_.get());
   CleaningReport report;
-  PositioningSequence cleaned = cleaner.Clean(walk, &report);
+  PositioningSequence cleaned = Clean(cleaner, walk, &report);
   EXPECT_EQ(report.floor_corrected, 1u);
   EXPECT_EQ(cleaned.records[7].location.floor, 0);
   // Floor correction should not touch the planar location.
@@ -88,7 +99,7 @@ TEST_F(CleanerFixture, ConsecutiveOutlierRun) {
   }
   RawDataCleaner cleaner(dsm_.get(), planner_.get());
   CleaningReport report;
-  PositioningSequence cleaned = cleaner.Clean(walk, &report);
+  PositioningSequence cleaned = Clean(cleaner, walk, &report);
   EXPECT_GE(report.interpolated, 4u);
   for (int i = 12; i <= 15; ++i) {
     // Interpolated positions lie between the anchors along the corridor.
@@ -103,7 +114,7 @@ TEST_F(CleanerFixture, LeadingOutlierClampedToAnchor) {
   walk.records[0].location.xy = {90.0, 55.0};  // bad first fix
   RawDataCleaner cleaner(dsm_.get(), planner_.get());
   CleaningReport report;
-  PositioningSequence cleaned = cleaner.Clean(walk, &report);
+  PositioningSequence cleaned = Clean(cleaner, walk, &report);
   // First record repaired to match an early anchor.
   EXPECT_LT(cleaned.records[0].location.PlanarDistanceTo(walk.records[1].location),
             10.0);
@@ -121,7 +132,7 @@ TEST_F(CleanerFixture, SmoothingReducesJitter) {
   opt.smoothing_window = 5;
   RawDataCleaner cleaner(dsm_.get(), planner_.get(), opt);
   CleaningReport report;
-  PositioningSequence cleaned = cleaner.Clean(still, &report);
+  PositioningSequence cleaned = Clean(cleaner, still, &report);
   EXPECT_GT(report.smoothed, 0u);
   auto spread = [](const PositioningSequence& s) {
     double var = 0;
@@ -142,7 +153,7 @@ TEST_F(CleanerFixture, SnapToWalkablePullsRecordsInside) {
   seq.records.emplace_back(13.5, 50.0, 0, 3000);
   RawDataCleaner cleaner(dsm_.get(), planner_.get());
   CleaningReport report;
-  PositioningSequence cleaned = cleaner.Clean(seq, &report);
+  PositioningSequence cleaned = Clean(cleaner, seq, &report);
   EXPECT_GT(report.snapped, 0u);
   for (const RawRecord& r : cleaned.records) {
     EXPECT_TRUE(dsm_->IsWalkable(r.location)) << r.location.ToString();
@@ -160,18 +171,18 @@ TEST_F(CleanerFixture, ShortSequencesReturnedAsIs) {
   PositioningSequence one;
   one.records.emplace_back(5, 30, 0, 0);
   CleaningReport report;
-  PositioningSequence cleaned = cleaner.Clean(one, &report);
+  PositioningSequence cleaned = Clean(cleaner, one, &report);
   EXPECT_EQ(cleaned.records.size(), 1u);
   EXPECT_EQ(report.total_records, 1u);
   PositioningSequence empty;
-  EXPECT_TRUE(cleaner.Clean(empty, &report).records.empty());
+  EXPECT_TRUE(Clean(cleaner, empty, &report).records.empty());
 }
 
 TEST_F(CleanerFixture, UnsortedInputIsSortedFirst) {
   PositioningSequence walk = CorridorWalk(10);
   std::swap(walk.records[2], walk.records[7]);
   RawDataCleaner cleaner(dsm_.get(), planner_.get());
-  PositioningSequence cleaned = cleaner.Clean(walk, nullptr);
+  PositioningSequence cleaned = Clean(cleaner, walk, nullptr);
   for (size_t i = 1; i < cleaned.records.size(); ++i) {
     EXPECT_LE(cleaned.records[i - 1].timestamp, cleaned.records[i].timestamp);
   }
@@ -197,7 +208,7 @@ TEST_F(CleanerFixture, CleaningReducesErrorVsTruth) {
   opt.smoothing_window = 3;
   RawDataCleaner cleaner(dsm_.get(), planner_.get(), opt);
   CleaningReport report;
-  PositioningSequence cleaned = cleaner.Clean(raw, &report);
+  PositioningSequence cleaned = Clean(cleaner, raw, &report);
 
   positioning::ErrorStats raw_stats = positioning::CompareToTruth(truth, raw);
   positioning::ErrorStats clean_stats = positioning::CompareToTruth(truth, cleaned);

@@ -361,9 +361,14 @@ TEST_F(ClusterFixture, PersistAllWritesEveryVenueDirectory) {
   std::filesystem::remove_all(root);  // no segments left by an earlier run
   Cluster city({.worker_threads = 2});
   for (const TestVenue& venue : venues_) {
+    // Built first and moved in: nothing in the initializer below can throw
+    // once `stream` is constructed, an unwind path that GCC 12 misreads in
+    // Release builds as a use of uninitialized memory
+    // (-Wmaybe-uninitialized).
+    std::string directory = root + "/" + venue.id;
     ASSERT_TRUE(city.AddVenue({.venue_id = venue.id,
                                .engine = venue.engine,
-                               .store_directory = root + "/" + venue.id})
+                               .store_directory = std::move(directory)})
                     .ok());
   }
   ASSERT_TRUE(city.IngestBatch(CityFeed()).ok());

@@ -159,7 +159,10 @@ TEST_F(EngineFixture, SharedEngineTranslatesConcurrently) {
 
   std::vector<positioning::PositioningSequence> inputs;
   for (int i = 0; i < 4; ++i) {
-    inputs.push_back(MakeNoisy("c" + std::to_string(i), 40 + i));
+    // Named first: GCC 12 in Release builds flags `"c" + std::to_string(i)`
+    // with a false -Wrestrict.
+    const std::string n = std::to_string(i);
+    inputs.push_back(MakeNoisy("c" + n, 40 + i));
   }
   // Serial reference.
   std::vector<std::string> expected;

@@ -95,9 +95,12 @@ TEST_F(SessionReuseFixture, FullPersistAndReloadRoundTrip) {
   ASSERT_TRUE(planner2.ok());
   cleaning::RawDataCleaner cleaner2(&mall2.ValueOrDie(), &planner2.ValueOrDie(),
                                     core::DefaultPipelineCleanerOptions());
-  core::MobilitySemanticsSequence sem1 = annotator1.Annotate(cleaner1.Clean(raw));
-  core::MobilitySemanticsSequence sem2 =
-      annotator2.Annotate(cleaner2.Clean((*raw2)[0]));
+  positioning::RecordBlock block1 = positioning::RecordBlock::FromSequence(raw);
+  positioning::RecordBlock block2 = positioning::RecordBlock::FromSequence((*raw2)[0]);
+  cleaner1.CleanBlock(&block1, nullptr);
+  cleaner2.CleanBlock(&block2, nullptr);
+  core::MobilitySemanticsSequence sem1 = annotator1.Annotate(block1);
+  core::MobilitySemanticsSequence sem2 = annotator2.Annotate(block2);
   ASSERT_EQ(sem1.Size(), sem2.Size());
   for (size_t i = 0; i < sem1.Size(); ++i) {
     EXPECT_EQ(sem1.semantics[i].event, sem2.semantics[i].event) << i;

@@ -132,6 +132,12 @@ config::LabeledSegment Segment(const std::string& event, double speed,
   return seg;
 }
 
+// Features of a whole labeled segment, extracted from its block form.
+FeatureVector Features(const config::LabeledSegment& seg) {
+  positioning::RecordBlock block = positioning::RecordBlock::FromSequence(seg.segment);
+  return ExtractFeatures(block, 0, block.Size());
+}
+
 TEST(ModelIoTest, EventClassifierFileRoundTrip) {
   std::vector<config::LabeledSegment> training;
   for (int i = 0; i < 12; ++i) {
@@ -151,8 +157,8 @@ TEST(ModelIoTest, EventClassifierFileRoundTrip) {
   EXPECT_EQ(loaded->event_names(), classifier.event_names());
   // Same predictions on fresh segments.
   for (int i = 0; i < 5; ++i) {
-    FeatureVector stay = ExtractFeatures(Segment("x", 0.02, 900 + i).segment);
-    FeatureVector pass = ExtractFeatures(Segment("x", 1.3, 950 + i).segment);
+    FeatureVector stay = Features(Segment("x", 0.02, 900 + i));
+    FeatureVector pass = Features(Segment("x", 1.3, 950 + i));
     EXPECT_EQ(loaded->Identify(stay), classifier.Identify(stay));
     EXPECT_EQ(loaded->Identify(pass), classifier.Identify(pass));
     EXPECT_EQ(loaded->Identify(stay), "stay");

@@ -7,6 +7,7 @@
 #include "json/json.h"
 #include "mobility/generator.h"
 #include "positioning/error_model.h"
+#include "positioning/record_block.h"
 #include "util/string_util.h"
 
 namespace trips {
@@ -67,7 +68,9 @@ TEST_P(CleaningSweep, CleaningNeverHurtsRmseOrFloors) {
   copt.smoothing_window = nc.sigma >= 1.0 ? 3 : 0;
   cleaning::RawDataCleaner cleaner(dsm_, planner_, copt);
   cleaning::CleaningReport report;
-  positioning::PositioningSequence cleaned = cleaner.Clean(raw, &report);
+  positioning::RecordBlock block = positioning::RecordBlock::FromSequence(raw);
+  cleaner.CleanBlock(&block, nullptr, &report);
+  positioning::PositioningSequence cleaned = block.ToSequence();
 
   positioning::ErrorStats before = positioning::CompareToTruth(dev->truth, raw);
   positioning::ErrorStats after = positioning::CompareToTruth(dev->truth, cleaned);

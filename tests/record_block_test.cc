@@ -1,14 +1,13 @@
-// Parity suite of the columnar record pipeline: SoA==AoS byte-identity for
-// conversions, cleaning and full Service output; determinism of parallel
-// intra-sequence cleaning across worker counts; SnapIfOutside vs the
-// IsWalkable + SnapToWalkable pair it replaces.
+// Parity suite of the columnar record pipeline: exact AoS<->block
+// conversions, CleanBlock byte-identical to the AoS CleanReference oracle,
+// the AoS SplitSequence equal to the block form, and full Service output;
+// determinism of parallel intra-sequence cleaning across worker counts;
+// SnapIfOutside vs the IsWalkable + SnapToWalkable pair it replaces.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
-#include "annotation/features.h"
-#include "annotation/spatial_matcher.h"
 #include "annotation/splitter.h"
 #include "cleaning/cleaner.h"
 #include "core/service.h"
@@ -131,7 +130,7 @@ TEST_F(RecordBlockFixture, ValidityBitmapTracksMarks) {
   EXPECT_EQ(block.InvalidCount(), 0u);
 }
 
-TEST_F(RecordBlockFixture, CleanShimMatchesReferenceRandomized) {
+TEST_F(RecordBlockFixture, CleanBlockMatchesReferenceRandomized) {
   CleanerOptions opt;
   opt.smoothing_window = 3;
   RawDataCleaner cleaner(dsm_.get(), planner_.get(), opt);
@@ -139,20 +138,22 @@ TEST_F(RecordBlockFixture, CleanShimMatchesReferenceRandomized) {
     PositioningSequence raw = NoisyWalk(300, seed);
     CleaningReport ref_report, soa_report;
     PositioningSequence ref = cleaner.CleanReference(raw, &ref_report);
-    PositioningSequence soa = cleaner.Clean(raw, &soa_report);
-    ExpectSameRecords(soa, ref);
+    RecordBlock block = RecordBlock::FromSequence(raw);
+    cleaner.CleanBlock(&block, nullptr, &soa_report);
+    ExpectSameRecords(block.ToSequence(), ref);
     ExpectSameReports(soa_report, ref_report);
   }
 }
 
-TEST_F(RecordBlockFixture, CleanShimMatchesReferenceWithoutSmoothingOrSnap) {
+TEST_F(RecordBlockFixture, CleanBlockMatchesReferenceWithoutSmoothingOrSnap) {
   CleanerOptions opt;
   opt.snap_to_walkable = false;
   RawDataCleaner cleaner(dsm_.get(), planner_.get(), opt);
   PositioningSequence raw = NoisyWalk(250, 21);
   CleaningReport ref_report, soa_report;
-  ExpectSameRecords(cleaner.Clean(raw, &soa_report),
-                    cleaner.CleanReference(raw, &ref_report));
+  RecordBlock block = RecordBlock::FromSequence(raw);
+  cleaner.CleanBlock(&block, nullptr, &soa_report);
+  ExpectSameRecords(block.ToSequence(), cleaner.CleanReference(raw, &ref_report));
   ExpectSameReports(soa_report, ref_report);
 }
 
@@ -215,35 +216,23 @@ TEST_F(RecordBlockFixture, SnapIfOutsideMatchesPairedCalls) {
   dsm_->set_spatial_index_enabled(true);
 }
 
+// The annotation layer's one AoS entry point, SplitSequence over a
+// PositioningSequence, must return the block form's snippets.
 TEST_F(RecordBlockFixture, AnnotationLayerColumnarParity) {
   CleanerOptions opt;
   opt.smoothing_window = 3;
   RawDataCleaner cleaner(dsm_.get(), planner_.get(), opt);
-  PositioningSequence cleaned = cleaner.Clean(NoisyWalk(400, 13));
-  RecordBlock block = RecordBlock::FromSequence(cleaned);
+  RecordBlock block = RecordBlock::FromSequence(NoisyWalk(400, 13));
+  cleaner.CleanBlock(&block, nullptr);
+  PositioningSequence cleaned = block.ToSequence();
 
   std::vector<annotation::Snippet> aos_snips = annotation::SplitSequence(cleaned);
   std::vector<annotation::Snippet> soa_snips = annotation::SplitSequence(block);
   ASSERT_EQ(aos_snips.size(), soa_snips.size());
-  annotation::SpatialMatcher matcher(dsm_.get());
   for (size_t i = 0; i < aos_snips.size(); ++i) {
     EXPECT_EQ(aos_snips[i].begin, soa_snips[i].begin);
     EXPECT_EQ(aos_snips[i].end, soa_snips[i].end);
     EXPECT_EQ(aos_snips[i].dense, soa_snips[i].dense);
-
-    annotation::FeatureVector fa =
-        annotation::ExtractFeatures(cleaned, aos_snips[i].begin, aos_snips[i].end);
-    annotation::FeatureVector fb =
-        annotation::ExtractFeatures(block, soa_snips[i].begin, soa_snips[i].end);
-    EXPECT_EQ(fa, fb);
-
-    annotation::SpatialMatch ma =
-        matcher.Match(cleaned, aos_snips[i].begin, aos_snips[i].end);
-    annotation::SpatialMatch mb =
-        matcher.Match(block, soa_snips[i].begin, soa_snips[i].end);
-    EXPECT_EQ(ma.region, mb.region);
-    EXPECT_EQ(ma.region_name, mb.region_name);
-    EXPECT_EQ(ma.coverage, mb.coverage);
   }
 }
 

@@ -38,7 +38,6 @@ bool SameSnippets(const std::vector<Snippet>& a, const std::vector<Snippet>& b) 
 // A time-sorted random walk that keeps landing on the predicate's edges.
 RecordBlock RandomEdgeBlock(Rng* rng, const SplitterOptions& opt, size_t n) {
   RecordBlock block;
-  block.device_id = "d";
   TimestampMs t = 0;
   double x = rng->Uniform(-5, 5);
   double y = rng->Uniform(-5, 5);

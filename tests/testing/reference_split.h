@@ -2,9 +2,9 @@
 // straightforward ST-DBSCAN the production splitter (annotation/splitter.cc)
 // must reproduce snippet for snippet. It allocates a neighbour vector per
 // query, re-pushes points onto its frontier and measures distances with
-// sqrt, which is exactly what makes it a readable reference. Templated over
-// the record layout (AoS sequence / SoA block) through the uniform
-// positioning accessors. Header-only; nothing outside tests/ includes it.
+// sqrt, which is exactly what makes it a readable reference. Reads the
+// record block's columns one record at a time. Header-only; nothing outside
+// tests/ includes it.
 #pragma once
 
 #include <queue>
@@ -18,27 +18,22 @@ namespace trips::annotation::testing {
 /// Indices of the spatio-temporal neighbours of record i (backward scan,
 /// then forward; self excluded). Records are time-sorted, so the temporal
 /// window bounds the scan.
-template <typename Source>
-std::vector<size_t> ReferenceNeighbours(const Source& src, size_t i,
-                                        const SplitterOptions& opt) {
-  using positioning::FloorAt;
-  using positioning::RecordCount;
-  using positioning::TimeAt;
-  using positioning::XYAt;
+inline std::vector<size_t> ReferenceNeighbours(
+    const positioning::RecordBlock& block, size_t i, const SplitterOptions& opt) {
   std::vector<size_t> out;
-  const size_t n = RecordCount(src);
-  const TimestampMs ti = TimeAt(src, i);
-  const geo::Point2 pi = XYAt(src, i);
-  const geo::FloorId fi = FloorAt(src, i);
+  const size_t n = block.Size();
+  const TimestampMs ti = block.timestamps[i];
+  const geo::Point2 pi = block.XY(i);
+  const geo::FloorId fi = block.floors[i];
   for (size_t j = i; j-- > 0;) {
-    if (ti - TimeAt(src, j) > opt.eps_time) break;
-    if (FloorAt(src, j) == fi && XYAt(src, j).DistanceTo(pi) <= opt.eps_space) {
+    if (ti - block.timestamps[j] > opt.eps_time) break;
+    if (block.floors[j] == fi && block.XY(j).DistanceTo(pi) <= opt.eps_space) {
       out.push_back(j);
     }
   }
   for (size_t j = i + 1; j < n; ++j) {
-    if (TimeAt(src, j) - ti > opt.eps_time) break;
-    if (FloorAt(src, j) == fi && XYAt(src, j).DistanceTo(pi) <= opt.eps_space) {
+    if (block.timestamps[j] - ti > opt.eps_time) break;
+    if (block.floors[j] == fi && block.XY(j).DistanceTo(pi) <= opt.eps_space) {
       out.push_back(j);
     }
   }
@@ -47,12 +42,10 @@ std::vector<size_t> ReferenceNeighbours(const Source& src, size_t i,
 
 /// Sequential ST-DBSCAN, then maximal time-contiguous runs of equal label,
 /// then the min_snippet merge — the splitter's full contract.
-template <typename Source>
-std::vector<Snippet> ReferenceSplit(const Source& src, const SplitterOptions& options) {
-  using positioning::RecordCount;
-  using positioning::TimeAt;
+inline std::vector<Snippet> ReferenceSplit(const positioning::RecordBlock& block,
+                                           const SplitterOptions& options) {
   std::vector<Snippet> snippets;
-  const size_t n = RecordCount(src);
+  const size_t n = block.Size();
   if (n < 2) return snippets;
 
   constexpr int kUnvisited = -2;
@@ -62,7 +55,7 @@ std::vector<Snippet> ReferenceSplit(const Source& src, const SplitterOptions& op
 
   for (size_t i = 0; i < n; ++i) {
     if (label[i] != kUnvisited) continue;
-    std::vector<size_t> nb = ReferenceNeighbours(src, i, options);
+    std::vector<size_t> nb = ReferenceNeighbours(block, i, options);
     if (nb.size() + 1 < options.min_pts) {
       label[i] = kNoise;
       continue;
@@ -77,7 +70,7 @@ std::vector<Snippet> ReferenceSplit(const Source& src, const SplitterOptions& op
       if (label[j] == kNoise) label[j] = cluster;  // border point
       if (label[j] != kUnvisited) continue;
       label[j] = cluster;
-      std::vector<size_t> nb2 = ReferenceNeighbours(src, j, options);
+      std::vector<size_t> nb2 = ReferenceNeighbours(block, j, options);
       if (nb2.size() + 1 >= options.min_pts) {
         for (size_t k : nb2) {
           if (label[k] == kUnvisited || label[k] == kNoise) frontier.push(k);
@@ -101,7 +94,7 @@ std::vector<Snippet> ReferenceSplit(const Source& src, const SplitterOptions& op
   if (options.min_snippet > 0 && snippets.size() > 1) {
     std::vector<Snippet> merged;
     for (const Snippet& s : snippets) {
-      DurationMs dur = TimeAt(src, s.end - 1) - TimeAt(src, s.begin);
+      DurationMs dur = block.timestamps[s.end - 1] - block.timestamps[s.begin];
       if (!merged.empty() && dur < options.min_snippet) {
         merged.back().end = s.end;
       } else {

@@ -113,7 +113,10 @@ TEST_F(PipelineFixture, TrainingDataFlowsIntoTranslator) {
   ASSERT_TRUE(editor.DefinePattern(kEventPassBy).ok());
   ASSERT_TRUE(editor.DefinePattern(kEventWander).ok());
   for (int d = 0; d < 6; ++d) {
-    auto dev = gen.GenerateDevice("t" + std::to_string(d), 0, &rng);
+    // Named first: GCC 12 in Release builds flags `"t" + std::to_string(d)`
+    // with a false -Wrestrict.
+    const std::string n = std::to_string(d);
+    auto dev = gen.GenerateDevice("t" + n, 0, &rng);
     ASSERT_TRUE(dev.ok());
     for (const MobilitySemantic& s : dev->semantics.semantics) {
       if (!editor.HasPattern(s.event)) continue;
